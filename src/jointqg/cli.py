@@ -5,7 +5,7 @@ Subcommands map onto the library pipeline:
     prepare        SQuAD JSON -> corpus.jsonl
     label          corpus.jsonl -> labels.jsonl (relevance + question type)
     train          full pipeline run from an experiment config
-    generate       decode a corpus with an existing checkpoint
+    generate       decode a corpus with a checkpoint (and selector.ckpt beside it)
     evaluate       score a predictions file -> report.json
     sweep-k        pipeline once per k, collecting a CSV
     compare-modes  pipeline once per training mode, with metric deltas
@@ -23,7 +23,7 @@ from . import model as M
 from .embedding import BackendSpec, create_backend
 from .harness import ExperimentConfig, compare_modes, run_pipeline, sweep_top_k
 from .labeler import label_examples, write_labels_jsonl
-from .tokenizer import Vocabulary, assemble_model_input, tokenize
+from .tokenizer import Vocabulary, tokenize
 
 
 def _add_config_overrides(p: argparse.ArgumentParser) -> None:
@@ -132,18 +132,9 @@ def main(argv=None) -> int:
     if args.command == "generate":
         vocab = Vocabulary.load(args.vocab)
         ckpt = M.load_checkpoint(args.checkpoint, expected_vocab=vocab)
-        examples = C.read_corpus_jsonl(args.data)
-        records = []
-        for ex in examples:
-            mi = assemble_model_input(ex, vocab, ckpt.config.max_len)
-            scorer = D.make_scorer(ckpt, mi)
-            best = D.beam_search_nbest(scorer, args.beam_size, args.max_len,
-                                       args.alpha)[0]
-            records.append({"id": ex.document.id,
-                            "prediction": vocab.decode(list(best.ids)),
-                            "gold": ex.document.question,
-                            "beam_size": args.beam_size,
-                            "score": best.score})
+        records = D.generate_predictions(
+            ckpt, C.read_corpus_jsonl(args.data), vocab, args.beam_size, args.max_len,
+            args.alpha, selector=D.load_selector_beside(args.checkpoint, vocab))
         D.write_predictions_jsonl(records, args.out)
         print(f"wrote {len(records)} predictions to {args.out}")
         return 0

@@ -2,7 +2,8 @@
 
 Both decoders consume a scorer: a callable mapping the generated prefix
 (ids, no BOS) to a (V,) array of next-token log-probabilities. PAD and BOS
-are suppressed before any selection, so outputs never contain them.
+are suppressed before any selection, so outputs never contain them. A NaN
+or +inf entry raises NumericError; a step with no finite token, ValueError.
 
 Beam search keeps the beam_size best candidates per step ranked by
 cumulative log-probability; candidates that just emitted EOS retire to a
@@ -15,14 +16,20 @@ greedy path.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Checkpoint, DecoderSession, encoder_forward
-from .tokenizer import BOS_ID, EOS_ID, PAD_ID, ModelInput
+from . import training as T
+from .corpus import QAExample
+from .errors import NumericError, SchemaError
+from .model import Checkpoint, DecoderSession, encoder_forward, load_checkpoint
+from .tokenizer import BOS_ID, EOS_ID, PAD_ID, ModelInput, Vocabulary, assemble_model_input
 
 _SUPPRESSED = (PAD_ID, BOS_ID)
+
+SELECTOR_CHECKPOINT = "selector.ckpt"  # two_step selector, beside model.ckpt
 
 
 @dataclass(frozen=True)
@@ -40,11 +47,17 @@ def make_scorer(ckpt: Checkpoint, model_input: ModelInput):
     return session.step_logprobs
 
 
-def _masked(logprobs: np.ndarray) -> np.ndarray:
-    lp = np.asarray(logprobs, dtype=np.float64).copy()
+def _next_logprobs(scorer, prefix: list[int]) -> np.ndarray:
+    """The scorer's row after prefix, with PAD and BOS suppressed."""
+    lp = np.asarray(scorer(prefix), dtype=np.float64).copy()
     if lp.ndim != 1 or lp.shape[0] <= max(_SUPPRESSED):
         raise ValueError("scorer must return a flat distribution over the vocabulary")
+    step = len(prefix)
+    if not (lp < np.inf).all():  # NaN or +inf
+        raise NumericError("non-finite log-probability", where=f"decoding step {step}")
     lp[list(_SUPPRESSED)] = -np.inf
+    if not np.isfinite(lp).any():
+        raise ValueError(f"no finite token left at decoding step {step}")
     return lp
 
 
@@ -58,7 +71,7 @@ def greedy_decode(scorer, max_len: int = 32) -> list[int]:
         raise ValueError("max_len must be positive")
     out: list[int] = []
     while len(out) < max_len:
-        nxt = int(np.argmax(_masked(scorer(out))))
+        nxt = int(np.argmax(_next_logprobs(scorer, out)))
         out.append(nxt)
         if nxt == EOS_ID:
             break
@@ -86,12 +99,10 @@ def beam_search_nbest(scorer, beam_size: int, max_len: int = 32,
     for _ in range(max_len):
         candidates: list[tuple[tuple[int, ...], float]] = []
         for ids, logp in active:
-            lp = _masked(scorer(list(ids)))
+            lp = _next_logprobs(scorer, list(ids))
             for tok in range(lp.shape[0]):
                 if np.isfinite(lp[tok]):
                     candidates.append((ids + (tok,), logp + float(lp[tok])))
-        if not candidates:
-            break
         candidates.sort(key=lambda c: (-c[1], c[0]))
         survivors = candidates[:beam_size]
         active = []
@@ -109,8 +120,6 @@ def beam_search_nbest(scorer, beam_size: int, max_len: int = 32,
 
     finals = ([as_result(h, True) for h in pool] if pool
               else [as_result(h, False) for h in active])
-    if not finals:
-        raise ValueError("decoding produced no hypotheses")
     finals.sort(key=lambda r: (-r.score, r.ids))
     return finals
 
@@ -122,6 +131,43 @@ def decode_example(ckpt: Checkpoint, model_input: ModelInput, beam_size: int = 1
     if beam_size == 1 and length_alpha == 0.0:
         return greedy_decode(scorer, max_len)
     return list(beam_search_nbest(scorer, beam_size, max_len, length_alpha)[0].ids)
+
+
+def load_selector_beside(ckpt_path: str, vocab: Vocabulary) -> Checkpoint | None:
+    """The two_step selector saved beside a generator checkpoint, if any."""
+    path = os.path.join(os.path.dirname(ckpt_path), SELECTOR_CHECKPOINT)
+    if not os.path.exists(path):
+        return None
+    selector = load_checkpoint(path, expected_vocab=vocab)
+    if not isinstance(selector.selector_k, int) or selector.selector_k < 1:
+        raise SchemaError(f"{path}: selector checkpoint does not record a positive k")
+    return selector
+
+
+def generate_predictions(ckpt: Checkpoint, examples: list[QAExample],
+                         vocab: Vocabulary, beam_size: int = 1, max_len: int = 32,
+                         length_alpha: float = 0.7,
+                         selector: Checkpoint | None = None) -> list[dict]:
+    """Decode each example into an {id, prediction, gold, beam_size, score}
+    record; the one generation path of the pipeline and ``jointqg generate``.
+    A selector first cuts each context to the sentences it keeps, by the
+    rule two_step stage 2 trained on."""
+    inputs = [assemble_model_input(ex, vocab, ckpt.config.max_len) for ex in examples]
+    if selector is not None:
+        probs = T.selector_predictions(inputs, selector.params, selector.config)
+        inputs = [assemble_model_input(
+                      ex, vocab, ckpt.config.max_len,
+                      keep=T.selector_keep_indices(pr, mi.kept_sentences,
+                                                   selector.selector_k))
+                  for ex, mi, pr in zip(examples, inputs, probs)]
+    records = []
+    for ex, mi in zip(examples, inputs):
+        best = beam_search_nbest(make_scorer(ckpt, mi), beam_size, max_len,
+                                 length_alpha)[0]
+        records.append({"id": ex.document.id, "prediction": vocab.decode(list(best.ids)),
+                        "gold": ex.document.question, "beam_size": beam_size,
+                        "score": best.score})
+    return records
 
 
 def write_predictions_jsonl(records: list[dict], path: str) -> None:

@@ -40,7 +40,19 @@ class BackendSpec:
             raise ValueError("precomputed_file backend needs a source path")
 
 
-class BagMeanBackend:
+class _MeanPooled:
+    """Shared embed_tokens: the mean of the subclass's token_vector."""
+
+    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
+        if not tokens:
+            raise ValueError("cannot embed an empty token list")
+        acc = np.zeros(self.dim)
+        for t in tokens:
+            acc += self.token_vector(t)
+        return acc / len(tokens)
+
+
+class BagMeanBackend(_MeanPooled):
     """Mean of per-token pseudo-random unit-Gaussian vectors.
 
     Each distinct token string maps to a fixed vector derived from
@@ -65,16 +77,8 @@ class BagMeanBackend:
             self._cache[token] = vec
         return vec
 
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        if not tokens:
-            raise ValueError("cannot embed an empty token list")
-        acc = np.zeros(self.dim)
-        for t in tokens:
-            acc += self.token_vector(t)
-        return acc / len(tokens)
 
-
-class PrecomputedBackend:
+class PrecomputedBackend(_MeanPooled):
     """Token vectors read from a TSV file, mean pooled.
 
     File format: first line ``dim <d>``, then one ``token<TAB>v_1 ... v_d``
@@ -117,14 +121,6 @@ class PrecomputedBackend:
 
     def token_vector(self, token: str) -> np.ndarray:
         return self._table.get(token, self._unk)
-
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        if not tokens:
-            raise ValueError("cannot embed an empty token list")
-        acc = np.zeros(self.dim)
-        for t in tokens:
-            acc += self.token_vector(t)
-        return acc / len(tokens)
 
 
 class ModelEncoderBackend:

@@ -12,6 +12,7 @@ artifacts stay on disk for inspection.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -28,7 +29,7 @@ from . import training as T
 from .embedding import BackendSpec, create_backend
 from .errors import StageError
 from .labeler import label_examples, question_type_of, write_labels_jsonl
-from .tokenizer import Vocabulary, assemble_model_input, tokenize
+from .tokenizer import Vocabulary, tokenize
 
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"vocab_size"}
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(T.TrainConfig)}
@@ -123,18 +124,15 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    """Decorator-free stage wrapper: call fn, rewrap any failure."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Rewrap a failure in the block as StageError(name); a StageError passes."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as e:
+        raise StageError(name, e) from e
 
 
 class RunLock:
@@ -173,21 +171,6 @@ def _make_run_dir(cfg: ExperimentConfig) -> str:
         except FileExistsError:
             n += 1
             run_dir = f"{base}-{n}"
-
-
-def _decode_inputs(examples, vocab, model_cfg, train_cfg, selector_ckpt):
-    """Model inputs for evaluation; a selector checkpoint filters sentences
-    the way two_step inference requires."""
-    inputs = []
-    for ex in examples:
-        mi = assemble_model_input(ex, vocab, model_cfg.max_len)
-        if selector_ckpt is not None:
-            enc = M.encoder_forward(mi, selector_ckpt.params, selector_ckpt.config)
-            probs = M.selector_forward(enc.sentence_vectors, selector_ckpt.params)
-            keep = T.selector_keep_indices(probs, mi.kept_sentences, train_cfg.k)
-            mi = assemble_model_input(ex, vocab, model_cfg.max_len, keep=keep)
-        inputs.append(mi)
-    return inputs
 
 
 def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
@@ -234,30 +217,17 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
             ckpt_path = os.path.join(run_dir, "model.ckpt")
             M.save_checkpoint(ckpt_path, result.params, model_cfg, vocab,
                               step=result.steps, seed=train_cfg.seed)
-            selector_path = None
             if result.selector_params is not None:
-                selector_path = os.path.join(run_dir, "selector.ckpt")
-                M.save_checkpoint(selector_path, result.selector_params, model_cfg,
-                                  vocab, step=result.steps, seed=train_cfg.seed)
+                M.save_checkpoint(os.path.join(run_dir, D.SELECTOR_CHECKPOINT),
+                                  result.selector_params, model_cfg, vocab,
+                                  step=result.steps, seed=train_cfg.seed,
+                                  selector_k=train_cfg.k)
 
         with _stage("generate"):
             ckpt = M.load_checkpoint(ckpt_path, expected_vocab=vocab)
-            selector_ckpt = (M.load_checkpoint(selector_path, expected_vocab=vocab)
-                             if selector_path else None)
-            inputs = _decode_inputs(eval_examples, vocab, ckpt.config, train_cfg,
-                                    selector_ckpt)
-            records = []
-            for ex, mi in zip(eval_examples, inputs):
-                scorer = D.make_scorer(ckpt, mi)
-                best = D.beam_search_nbest(scorer, cfg.beam_size,
-                                           cfg.max_decode_len, cfg.length_alpha)[0]
-                records.append({
-                    "id": ex.document.id,
-                    "prediction": vocab.decode(list(best.ids)),
-                    "gold": ex.document.question,
-                    "beam_size": cfg.beam_size,
-                    "score": best.score,
-                })
+            records = D.generate_predictions(
+                ckpt, eval_examples, vocab, cfg.beam_size, cfg.max_decode_len,
+                cfg.length_alpha, selector=D.load_selector_beside(ckpt_path, vocab))
             D.write_predictions_jsonl(records, os.path.join(run_dir, "predictions.jsonl"))
 
         with _stage("evaluate"):
@@ -272,6 +242,13 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
                 "selector_f1": result.selector_f1,
             })
     return report, run_dir
+
+
+def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], list[dict]]:
@@ -294,17 +271,11 @@ def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], l
             stage = e.stage if isinstance(e, StageError) else "unknown"
             errors.append({"k": int(k), "stage": stage, "error": str(e)})
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "sweep_k.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["k", "bleu4", "meteor_lite", "rouge_l"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(os.path.join(cfg.out_dir, "sweep_k.csv"),
+               ["k", "bleu4", "meteor_lite", "rouge_l"], rows)
     if errors:
-        with open(os.path.join(cfg.out_dir, "sweep_k_errors.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["k", "stage", "error"])
-            writer.writeheader()
-            writer.writerows(errors)
+        _write_csv(os.path.join(cfg.out_dir, "sweep_k_errors.csv"),
+                   ["k", "stage", "error"], errors)
     return rows, errors
 
 
@@ -327,11 +298,7 @@ def compare_modes(cfg: ExperimentConfig,
         for metric in ("bleu4", "meteor_lite", "rouge_l"):
             row[f"delta_{metric}"] = row[metric] - base[metric]
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "compare_modes.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        fields = ["mode", "bleu4", "meteor_lite", "rouge_l",
-                  "delta_bleu4", "delta_meteor_lite", "delta_rouge_l"]
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(os.path.join(cfg.out_dir, "compare_modes.csv"),
+               ["mode", "bleu4", "meteor_lite", "rouge_l",
+                "delta_bleu4", "delta_meteor_lite", "delta_rouge_l"], rows)
     return rows

@@ -342,7 +342,7 @@ def encode_token_ids(token_ids: np.ndarray, p: Parameters, cfg: ModelConfig) -> 
 
 def reconstruct_sentence_vectors(token_states: np.ndarray,
                                  sentence_index: np.ndarray) -> np.ndarray:
-    """Grouped mean of token states by sentence ordinal.
+    """Grouped mean of token states by sentence ordinal; group_matrix of one example.
 
     Ordinals must be exactly 0..n-1 (positions marked -1 are skipped); an
     ordinal with no tokens is an error.
@@ -351,28 +351,16 @@ def reconstruct_sentence_vectors(token_states: np.ndarray,
     sentence_index = np.asarray(sentence_index)
     if token_states.ndim != 2 or sentence_index.shape != (token_states.shape[0],):
         raise ValueError("token_states must be (T, d) with matching sentence_index")
-    present = sentence_index[sentence_index >= 0]
-    if present.size == 0:
+    n = int(sentence_index.max(initial=-1)) + 1
+    if n == 0:
         return np.zeros((0, token_states.shape[1]))
-    n = int(present.max()) + 1
-    out = np.zeros((n, token_states.shape[1]))
-    for s in range(n):
-        members = sentence_index == s
-        count = int(members.sum())
-        if count == 0:
-            raise ValueError(f"sentence ordinal {s} has no tokens")
-        out[s] = token_states[members].mean(axis=0)
-    return out
+    return group_matrix(sentence_index[None], [n])[0] @ token_states
 
 
 def encoder_forward(model_input: ModelInput, p: Parameters, cfg: ModelConfig) -> EncoderOutput:
     """Run the encoder on one assembled input, gradient-free."""
-    ids = model_input.token_ids[None, :]
-    nonpad = np.ones_like(ids)
-    with ad.no_grad():
-        states = encoder_states(ids, nonpad, p, cfg)
-        pooled = pooled_vector(states, nonpad.astype(np.float64))
-    token_states = states.data[0]
+    token_states = encode_token_ids(model_input.token_ids, p, cfg)
+    pooled = pooled_vector(Tensor(token_states[None]), np.ones((1, len(token_states))))
     return EncoderOutput(
         token_states=token_states,
         pooled=pooled.data[0],
@@ -432,10 +420,12 @@ class Checkpoint:
     vocab_sha256: str
     step: int = 0
     seed: int = 0
+    selector_k: int | None = None  # top-k fallback of a two_step selector
 
 
 def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
-                    vocab: Vocabulary, step: int = 0, seed: int = 0) -> None:
+                    vocab: Vocabulary, step: int = 0, seed: int = 0,
+                    selector_k: int | None = None) -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": cfg.to_dict(),
@@ -444,6 +434,8 @@ def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
         "seed": int(seed),
         "tensors": params.names(),
     }
+    if selector_k is not None:
+        meta["selector_k"] = int(selector_k)
     def entry(name: str) -> zipfile.ZipInfo:
         # fixed timestamp keeps checkpoint bytes identical across reruns
         info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
@@ -470,6 +462,8 @@ def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Chec
             meta = json.loads(zf.read("meta.json"))
             cfg = ModelConfig.from_dict(meta["config"])
             names = list(meta["tensors"])
+            fields = (str(meta["vocab_sha256"]), int(meta["step"]), int(meta["seed"]),
+                      meta.get("selector_k"))
         except (KeyError, ValueError, TypeError) as e:
             raise SchemaError(f"{path}: bad checkpoint metadata ({e})") from e
         if meta.get("version") != CHECKPOINT_VERSION:
@@ -483,9 +477,10 @@ def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Chec
             if arr.shape != expected[name]:
                 raise SchemaError(f"{path}: tensor {name} has shape {arr.shape}, "
                                   f"expected {expected[name]}")
+            if not np.isfinite(arr).all():
+                raise SchemaError(f"{path}: tensor {name} holds non-finite values")
             tensors[name] = Tensor(arr.astype(np.float64), requires_grad=True)
-    ckpt = Checkpoint(Parameters(tensors), cfg, str(meta["vocab_sha256"]),
-                      int(meta["step"]), int(meta["seed"]))
+    ckpt = Checkpoint(Parameters(tensors), cfg, *fields)
     if expected_vocab is not None and expected_vocab.sha256() != ckpt.vocab_sha256:
         raise VocabMismatchError(
             f"{path}: checkpoint was built with a different vocabulary")

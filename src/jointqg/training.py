@@ -347,13 +347,13 @@ def selector_keep_indices(probs: np.ndarray, kept_sentences: list[int], k: int) 
     return [kept_sentences[i] for i in chosen]
 
 
-def selector_predictions(prepared: list[PreparedExample], params: M.Parameters,
+def selector_predictions(model_inputs: list[ModelInput], params: M.Parameters,
                          model_cfg: M.ModelConfig) -> list[np.ndarray]:
-    preds = []
-    for pe in prepared:
-        enc = M.encoder_forward(pe.model_input, params, model_cfg)
-        preds.append(M.selector_forward(enc.sentence_vectors, params))
-    return preds
+    """Relevance probabilities over each input's kept sentences; with
+    selector_keep_indices, the two_step sentence filter (stage 2 and decoding)."""
+    return [M.selector_forward(M.encoder_forward(mi, params, model_cfg).sentence_vectors,
+                               params)
+            for mi in model_inputs]
 
 
 def selector_f1(prepared: list[PreparedExample], probs_per_example: list[np.ndarray]) -> float:
@@ -396,7 +396,8 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
                                log_fh, order_rng, dropout_rng,
                                label_refresh=label_refresh,
                                record_mode="two_step:stage1")
-            probs = selector_predictions(prepared, params, model_cfg)
+            probs = selector_predictions([pe.model_input for pe in prepared],
+                                         params, model_cfg)
             f1 = selector_f1(prepared, probs)
             keep = [selector_keep_indices(pr, pe.model_input.kept_sentences, train_cfg.k)
                     for pe, pr in zip(prepared, probs)]

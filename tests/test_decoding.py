@@ -7,11 +7,13 @@ from jointqg.decoding import (
     beam_search_decode,
     beam_search_nbest,
     decode_example,
+    generate_predictions,
     greedy_decode,
     make_scorer,
     read_predictions_jsonl,
     write_predictions_jsonl,
 )
+from jointqg.errors import NumericError
 from jointqg.tokenizer import assemble_model_input
 from conftest import rng_scorer
 from oracles import best_decode_oracle, enumerate_decodes
@@ -170,6 +172,52 @@ def test_beam_search_decode_returns_top_ids():
 
 # --------------------------------------------------------- model plumbing
 
+# -------------------------------------------------------- bad scorer rows
+
+DECODERS = {
+    "greedy": lambda scorer: greedy_decode(scorer, max_len=5),
+    "beam": lambda scorer: list(beam_search_nbest(scorer, 3, max_len=5)[0].ids),
+}
+
+
+def row_at_step(step, row, vocab_size=8):
+    """Prefers token 7 until the given step, where it returns row."""
+    def scorer(prefix):
+        if len(prefix) == step:
+            return np.asarray(row, dtype=np.float64)
+        lp = np.full(vocab_size, -5.0)
+        lp[7] = -0.1
+        return lp
+    return scorer
+
+
+@pytest.mark.parametrize("decoder", sorted(DECODERS))
+@pytest.mark.parametrize("row, error, message", [
+    pytest.param([np.nan] * 8, NumericError, "decoding step 2", id="all-nan"),
+    pytest.param([-1.0] * 7 + [np.nan], NumericError, "decoding step 2",
+                 id="one-nan"),
+    pytest.param([-1.0] * 7 + [np.inf], NumericError, "decoding step 2",
+                 id="plus-inf"),
+    pytest.param([-np.inf] * 8, ValueError,
+                 "no finite token left at decoding step 2", id="all-minus-inf"),
+    pytest.param([0.0, -np.inf, 0.0] + [-np.inf] * 5, ValueError,
+                 "no finite token left at decoding step 2",
+                 id="only-pad-and-bos-finite"),
+])
+def test_bad_scorer_row_fails_loudly(decoder, row, error, message):
+    with pytest.raises(error, match=message) as exc:
+        DECODERS[decoder](row_at_step(2, row))
+    if error is NumericError:
+        assert exc.value.where == "decoding step 2"
+
+
+@pytest.mark.parametrize("decoder", sorted(DECODERS))
+def test_partly_infinite_row_still_decodes(decoder):
+    row = [-np.inf] * 8
+    row[EOS] = -0.5
+    assert DECODERS[decoder](row_at_step(2, row)) == [7, 7, EOS]
+
+
 def test_make_scorer_returns_log_distribution(ibm_example, tiny_vocab,
                                               tiny_checkpoint):
     mi = assemble_model_input(ibm_example, tiny_vocab,
@@ -197,6 +245,17 @@ def test_decode_example_paths_agree(ibm_example, tiny_vocab, tiny_checkpoint):
 
 
 # ------------------------------------------------------------ predictions
+
+def test_generate_predictions_record_matches_decode_example(ibm_example, tiny_vocab,
+                                                             tiny_checkpoint):
+    rec, = generate_predictions(tiny_checkpoint, [ibm_example], tiny_vocab,
+                                beam_size=2, max_len=4, length_alpha=0.0)
+    mi = assemble_model_input(ibm_example, tiny_vocab, tiny_checkpoint.config.max_len)
+    ids = decode_example(tiny_checkpoint, mi, beam_size=2, max_len=4, length_alpha=0.0)
+    assert rec == {"id": "ibm-1", "prediction": tiny_vocab.decode(ids),
+                   "gold": ibm_example.document.question, "beam_size": 2,
+                   "score": rec["score"]}
+
 
 def test_predictions_jsonl_round_trip(tmp_path):
     records = [

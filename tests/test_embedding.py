@@ -55,6 +55,12 @@ def test_precomputed_mean(tmp_path):
     assert np.allclose(be.embed_tokens(["a", "b"]), [0.5, 1.0])
 
 
+def test_precomputed_rejects_empty(tmp_path):
+    path = write_table(tmp_path, {"a": [1.0, 0.0]}, 2)
+    with pytest.raises(ValueError):
+        PrecomputedBackend(path).embed_tokens([])
+
+
 def test_precomputed_miss_uses_unk_row(tmp_path):
     path = write_table(tmp_path, {"a": [1.0, 0.0], "<unk>": [9.0, 9.0]}, 2)
     be = PrecomputedBackend(path)

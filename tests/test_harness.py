@@ -17,7 +17,7 @@ from jointqg.cli import main as cli_main
 from jointqg.corpus import load_squad_json, read_corpus_jsonl
 from jointqg.decoding import read_predictions_jsonl
 from jointqg.embedding import BackendSpec
-from jointqg.errors import StageError
+from jointqg.errors import SchemaError, StageError
 from jointqg.labeler import read_labels_jsonl
 from jointqg.tokenizer import Vocabulary
 
@@ -182,6 +182,42 @@ def test_two_step_writes_selector_checkpoint(tmp_path, pipeline_run):
     assert 0.0 <= payload["selector_f1"] <= 1.0
 
 
+def test_cli_generate_reproduces_two_step_predictions(tmp_path, pipeline_run):
+    # the CLI must decode the contexts the run's selector kept, exactly as
+    # the pipeline's generate stage did
+    cfg = make_cfg(tmp_path, pipeline_run["data"], mode="two_step")
+    _, run_dir = H.run_pipeline(cfg)
+    run_dir = pathlib.Path(run_dir)
+    vocab = Vocabulary.load(str(run_dir / "vocab.txt"))
+    sel = M.load_checkpoint(str(run_dir / "selector.ckpt"), expected_vocab=vocab)
+    assert sel.selector_k == cfg.k
+    out = tmp_path / "preds.jsonl"
+    assert cli_main(["generate", str(run_dir / "model.ckpt"),
+                     "--data", str(run_dir / "corpus.jsonl"),
+                     "--vocab", str(run_dir / "vocab.txt"),
+                     "--out", str(out), "--beam", str(cfg.beam_size),
+                     "--max-len", str(cfg.max_decode_len),
+                     "--alpha", str(cfg.length_alpha)]) == 0
+    assert out.read_bytes() == (run_dir / "predictions.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("selector_k", [None, 0])
+def test_cli_generate_rejects_selector_without_k(tmp_path, pipeline_run, selector_k):
+    cfg = make_cfg(tmp_path / "runs", pipeline_run["data"], epochs=0,
+                   mode="two_step")
+    _, run_dir = H.run_pipeline(cfg)
+    run_dir = pathlib.Path(run_dir)
+    vocab = Vocabulary.load(str(run_dir / "vocab.txt"))
+    sel = M.load_checkpoint(str(run_dir / "selector.ckpt"), expected_vocab=vocab)
+    M.save_checkpoint(str(run_dir / "selector.ckpt"), sel.params, sel.config, vocab,
+                      selector_k=selector_k)
+    with pytest.raises(SchemaError, match="selector.ckpt"):
+        cli_main(["generate", str(run_dir / "model.ckpt"),
+                  "--data", str(run_dir / "corpus.jsonl"),
+                  "--vocab", str(run_dir / "vocab.txt"),
+                  "--out", str(tmp_path / "preds.jsonl")])
+
+
 def test_separate_eval_data(tmp_path):
     train = synth.write_squad_json(synth.memorization_examples()[:4],
                                    str(tmp_path / "train.json"))
@@ -221,6 +257,19 @@ def test_bad_backend_fails_in_label_stage_keeping_partials(tmp_path, pipeline_ru
     assert (run_dirs[0] / "vocab.txt").is_file()
     assert not (run_dirs[0] / "labels.jsonl").exists()
     assert not (run_dirs[0] / "lock").exists()
+
+
+def test_stage_rewraps_failures_and_passes_stage_errors_through():
+    with pytest.raises(StageError, match="'vocab'") as exc:
+        with H._stage("vocab"):
+            raise KeyError("boom")
+    assert exc.value.stage == "vocab"
+    assert isinstance(exc.value.__cause__, KeyError)
+    inner = StageError("label", ValueError("bad"))
+    with pytest.raises(StageError) as exc:
+        with H._stage("train"):
+            raise inner
+    assert exc.value is inner
 
 
 def test_run_lock_contention(tmp_path):

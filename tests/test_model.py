@@ -464,6 +464,41 @@ def test_checkpoint_shape_tamper_rejected(tmp_path, tiny_params, tiny_model_cfg,
         M.load_checkpoint(bad)
 
 
+def test_checkpoint_non_finite_tensor_rejected(tmp_path, tiny_params,
+                                               tiny_model_cfg, tiny_vocab):
+    import io as _io
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    for i, value in enumerate((np.nan, np.inf, -np.inf)):
+        arr = tiny_params["sel.w1"].data.astype("<f4")
+        arr[0, 0] = value
+        buf = _io.BytesIO()
+        np.save(buf, arr, allow_pickle=False)
+        bad = str(tmp_path / f"bad{i}.ckpt")
+        _tampered_copy(src, bad, replace=("tensors/sel.w1.npy", buf.getvalue()))
+        with pytest.raises(SchemaError, match="sel.w1"):
+            M.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key, value", [("step", "x"), ("seed", None),
+                                        ("vocab_sha256", None)])
+def test_checkpoint_bad_metadata_value_rejected(tmp_path, tiny_params, tiny_model_cfg,
+                                                tiny_vocab, key, value):
+    import json as _json
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    with zipfile.ZipFile(src) as zf:
+        meta = _json.loads(zf.read("meta.json"))
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    bad = str(tmp_path / "bad.ckpt")
+    _tampered_copy(src, bad, replace=("meta.json", _json.dumps(meta).encode()))
+    with pytest.raises(SchemaError, match="bad checkpoint metadata"):
+        M.load_checkpoint(bad)
+
+
 def test_checkpoint_missing_tensor_rejected(tmp_path, tiny_params,
                                             tiny_model_cfg, tiny_vocab):
     src = str(tmp_path / "good.ckpt")
