@@ -97,20 +97,25 @@ def beam_search_nbest(scorer, beam_size: int, max_len: int = 32,
     active: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     pool: list[tuple[tuple[int, ...], float]] = []
     for _ in range(max_len):
-        candidates: list[tuple[tuple[int, ...], float]] = []
-        for ids, logp in active:
-            lp = _next_logprobs(scorer, list(ids))
-            for tok in range(lp.shape[0]):
-                if np.isfinite(lp[tok]):
-                    candidates.append((ids + (tok,), logp + float(lp[tok])))
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        survivors = candidates[:beam_size]
-        active = []
-        for ids, logp in survivors:
-            if ids[-1] == EOS_ID:
-                pool.append((ids, logp))
-            else:
-                active.append((ids, logp))
+        # Live prefixes share one length, so with rows in id order the
+        # row-major flat index of (hypothesis, token) orders candidates like
+        # their extended id tuples: a stable sort on -total then breaks ties
+        # toward the lexicographically smaller sequence.
+        active.sort(key=lambda h: h[0])
+        lp = np.stack([_next_logprobs(scorer, list(ids)) for ids, _ in active])
+        vocab_size = lp.shape[1]
+        finite = np.isfinite(lp).ravel()
+        totals = (np.array([logp for _, logp in active])[:, None] + lp).ravel()
+        keep = min(beam_size, int(finite.sum()))
+        cut = np.partition(totals[finite], -keep)[-keep]
+        picked = np.flatnonzero(finite & (totals >= cut))
+        picked = picked[np.argsort(-totals[picked], kind="stable")][:keep]
+        live = []
+        for flat in picked.tolist():
+            hyp, tok = divmod(flat, vocab_size)
+            item = (active[hyp][0] + (tok,), float(totals[flat]))
+            (pool if tok == EOS_ID else live).append(item)
+        active = live
         if not active:
             break
 
@@ -171,14 +176,17 @@ def generate_predictions(ckpt: Checkpoint, examples: list[QAExample],
 
 
 def write_predictions_jsonl(records: list[dict], path: str) -> None:
-    """One object per line: id, prediction, gold, beam_size, score."""
+    """One object per line: id, prediction, gold, beam_size, score. Every
+    record is checked and serialised before the file is opened, so a bad
+    record leaves no partial file behind."""
     required = {"id", "prediction", "gold", "beam_size", "score"}
+    for rec in records:
+        missing = required - rec.keys()
+        if missing:
+            raise ValueError(f"prediction record missing {sorted(missing)}")
+    lines = [json.dumps(rec, ensure_ascii=False) + "\n" for rec in records]
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            missing = required - rec.keys()
-            if missing:
-                raise ValueError(f"prediction record missing {sorted(missing)}")
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        fh.writelines(lines)
 
 
 def read_predictions_jsonl(path: str) -> list[dict]:

@@ -165,6 +165,34 @@ def best_decode_oracle(scorer, vocab_size, max_len, alpha):
     return list(scored[0][1])
 
 
+def beam_nbest_tuple_sort(scorer, beam_size, max_len, alpha):
+    """Frozen tuple-sort beam expansion: one (ids, logp) candidate per
+    finite vocabulary entry of every live hypothesis, sorted by
+    (-logp, ids), the first beam_size kept. Returns the final
+    (ids, logp, score, finished) tuples, best first, for valid scorers."""
+    active = [((), 0.0)]
+    pool = []
+    for _ in range(max_len):
+        candidates = []
+        for ids, logp in active:
+            lp = np.asarray(scorer(list(ids)), dtype=np.float64).copy()
+            lp[list(SUPPRESSED)] = -np.inf
+            for tok in range(lp.shape[0]):
+                if np.isfinite(lp[tok]):
+                    candidates.append((ids + (tok,), logp + float(lp[tok])))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        active = []
+        for ids, logp in candidates[:beam_size]:
+            (pool if ids[-1] == EOS else active).append((ids, logp))
+        if not active:
+            break
+    finished = bool(pool)
+    finals = [(ids, logp, logp / (len(ids) ** alpha) if alpha != 0.0 else logp,
+               finished) for ids, logp in (pool or active)]
+    finals.sort(key=lambda r: (-r[2], r[0]))
+    return finals
+
+
 # ------------------------------------------------------ numeric helpers
 
 def central_difference(f, arr, h=1e-4):

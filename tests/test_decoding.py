@@ -16,7 +16,7 @@ from jointqg.decoding import (
 from jointqg.errors import NumericError
 from jointqg.tokenizer import assemble_model_input
 from conftest import rng_scorer
-from oracles import best_decode_oracle, enumerate_decodes
+from oracles import beam_nbest_tuple_sort, best_decode_oracle, enumerate_decodes
 
 EOS = 3
 
@@ -170,6 +170,51 @@ def test_beam_search_decode_returns_top_ids():
                               length_alpha=0.7) == list(top[0].ids)
 
 
+def quantised_scorer(seed, vocab_size, levels, hole_rate):
+    """Log-probabilities on a 0.25 grid, so sums tie exactly, with random
+    -inf holes; one usable token per row always stays finite."""
+    usable = [t for t in range(vocab_size) if t not in (0, 2)]
+
+    def scorer(prefix):
+        key = np.random.SeedSequence([seed, len(prefix)] + [int(i) for i in prefix])
+        rng = np.random.default_rng(key)
+        lp = -0.25 * rng.integers(0, levels, size=vocab_size)
+        lp[rng.random(vocab_size) < hole_rate] = -np.inf
+        lp[usable[rng.integers(len(usable))]] = -0.25 * rng.integers(levels)
+        return lp
+    return scorer
+
+
+def as_tuples(results):
+    for r in results:
+        assert type(r.ids) is tuple and all(type(t) is int for t in r.ids)
+        assert type(r.logp) is float and type(r.score) is float
+        assert type(r.finished) is bool
+    return [(r.ids, r.logp, r.score, r.finished) for r in results]
+
+
+def test_beam_expansion_matches_tuple_sort_reference():
+    rng = np.random.default_rng(20221)
+    for case in range(400):
+        beam, vocab_size = int(rng.integers(1, 8)), int(rng.integers(5, 41))
+        max_len = int(rng.integers(1, 7))
+        alpha = float(rng.choice([0.0, 0.7, 1.0]))
+        scorer = quantised_scorer(case, vocab_size, levels=int(rng.integers(2, 9)),
+                                  hole_rate=float(rng.choice([0.0, 0.3, 0.7])))
+        got = beam_search_nbest(scorer, beam, max_len, alpha)
+        assert as_tuples(got) == beam_nbest_tuple_sort(scorer, beam, max_len, alpha), case
+
+
+def test_beam_expansion_matches_reference_at_full_vocabulary():
+    # ~15 tokens share each level at V=30006, so exact ties straddle the
+    # beam-4 cut within and across hypotheses
+    scorer = quantised_scorer(7, 30006, levels=2000, hole_rate=0.2)
+    top = np.sort(scorer([])[3:])
+    assert top[-4] == top[-5]
+    got = beam_search_nbest(scorer, 4, max_len=3, length_alpha=0.7)
+    assert as_tuples(got) == beam_nbest_tuple_sort(scorer, 4, 3, 0.7)
+
+
 # --------------------------------------------------------- model plumbing
 
 # -------------------------------------------------------- bad scorer rows
@@ -273,6 +318,23 @@ def test_predictions_jsonl_missing_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="score"):
         write_predictions_jsonl([{"id": "a", "prediction": "x", "gold": "y",
                                   "beam_size": 1}], str(tmp_path / "p.jsonl"))
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"id": "b"}, ValueError),
+    ({"id": "b", "prediction": "x", "gold": "y", "beam_size": 1, "score": object()},
+     TypeError),
+], ids=["missing-key", "unserialisable"])
+def test_predictions_jsonl_bad_record_writes_nothing(tmp_path, bad, error):
+    good = {"id": "a", "prediction": "x", "gold": "y", "beam_size": 1, "score": -1.0}
+    fresh, old = tmp_path / "fresh.jsonl", tmp_path / "old.jsonl"
+    write_predictions_jsonl([good], str(old))
+    before = old.read_bytes()
+    for path in (fresh, old):
+        with pytest.raises(error):
+            write_predictions_jsonl([good, bad], str(path))
+    assert not fresh.exists()
+    assert old.read_bytes() == before
 
 
 def test_decode_result_is_frozen():

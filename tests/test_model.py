@@ -1,6 +1,9 @@
 """Model forward passes against a straight-line numpy reference, plus
 parameter bookkeeping, padding invariance and checkpoint io."""
 import hashlib
+import io
+import os
+import struct
 import zipfile
 
 import numpy as np
@@ -505,8 +508,96 @@ def test_checkpoint_missing_tensor_rejected(tmp_path, tiny_params,
     M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
     bad = str(tmp_path / "bad.ckpt")
     _tampered_copy(src, bad, drop="tensors/out.b.npy")
-    with pytest.raises((SchemaError, KeyError)):
+    with pytest.raises(SchemaError, match="out.b"):
         M.load_checkpoint(bad)
+
+
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda v: b"not an npy file", id="no-magic"),
+    pytest.param(lambda v: _npy_bytes(np.zeros(v, "<f4"))[:40], id="truncated"),
+    pytest.param(lambda v: np.lib.format.magic(1, 0) + b"\x10\x00"
+                 + b"{'descr': 1}".ljust(15) + b"\n", id="header-keys"),
+    pytest.param(lambda v: _npy_bytes(np.array(["x"] * v)), id="string-dtype"),
+])
+def test_checkpoint_malformed_tensor_rejected(tmp_path, tiny_params, tiny_model_cfg,
+                                              tiny_vocab, make):
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    bad = str(tmp_path / "bad.ckpt")
+    _tampered_copy(src, bad, replace=("tensors/out.b.npy", make(len(tiny_vocab))))
+    with pytest.raises(SchemaError, match=r"bad\.ckpt: tensor out\.b "):
+        M.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("tensors/tok_emb.npy", r"model\.ckpt: tensor tok_emb "),
+    ("meta.json", r"model\.ckpt: bad checkpoint metadata"),
+])
+def test_checkpoint_flipped_byte_rejected(tmp_path, tiny_params, tiny_model_cfg,
+                                          tiny_vocab, entry, message):
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(str(path), tiny_params, tiny_model_cfg, tiny_vocab)
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(entry)
+    raw = bytearray(path.read_bytes())
+    # local file header: 30 fixed bytes, then the name and the extra field
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    data_start = info.header_offset + 30 + name_len + extra_len
+    raw[data_start + info.compress_size - 1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SchemaError, match=message):
+        M.load_checkpoint(str(path))
+
+
+def test_checkpoint_entries_stored_and_deflated_still_loads(
+        tmp_path, tiny_params, tiny_model_cfg, tiny_vocab):
+    src = str(tmp_path / "stored.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    deflated = str(tmp_path / "deflated.ckpt")
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(deflated, "w") as zout:
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in zin.infolist())
+        for item in zin.infolist():
+            data = zin.read(item.filename)
+            item.compress_type = zipfile.ZIP_DEFLATED
+            zout.writestr(item, data)
+    with zipfile.ZipFile(deflated) as zf:
+        assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in zf.infolist())
+    a, b = M.load_checkpoint(src), M.load_checkpoint(deflated)
+    assert a.params.names() == b.params.names()
+    for name in a.params.names():
+        assert a.params[name].data.tobytes() == b.params[name].data.tobytes()
+    assert (a.config, a.vocab_sha256, a.step, a.seed) == (b.config, b.vocab_sha256,
+                                                          b.step, b.seed)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_checkpoint_failed_save_leaves_target_untouched(
+        tmp_path, monkeypatch, tiny_params, tiny_model_cfg, tiny_vocab, existing):
+    path = tmp_path / "model.ckpt"
+    if existing:
+        M.save_checkpoint(str(path), tiny_params, tiny_model_cfg, tiny_vocab, step=1)
+    before = path.read_bytes() if existing else None
+    real_save, calls = np.save, []
+
+    def failing_save(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real_save(*args, **kwargs)
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        M.save_checkpoint(str(path), tiny_params, tiny_model_cfg, tiny_vocab, step=2)
+    assert len(calls) == 3
+    assert sorted(os.listdir(tmp_path)) == (["model.ckpt"] if existing else [])
+    if existing:
+        assert path.read_bytes() == before
 
 
 def test_checkpoint_garbage_and_missing_files(tmp_path):
