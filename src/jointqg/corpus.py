@@ -12,6 +12,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import AlignmentError, EmptyDatasetError, SchemaError
+from .fileio import write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -299,9 +300,8 @@ def example_from_record(rec: dict) -> QAExample:
 
 def write_corpus_jsonl(examples: list[QAExample], path: str) -> None:
     """One JSON object per line; inverse of read_corpus_jsonl."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(example_to_record(ex), ensure_ascii=False) + "\n")
+    write_atomic(path, "".join(json.dumps(example_to_record(ex), ensure_ascii=False) + "\n"
+                               for ex in examples))
 
 
 def read_corpus_jsonl(path: str) -> list[QAExample]:

@@ -24,6 +24,7 @@ import numpy as np
 from . import training as T
 from .corpus import QAExample
 from .errors import NumericError, SchemaError
+from .fileio import write_atomic
 from .model import Checkpoint, DecoderSession, encoder_forward, load_checkpoint
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, ModelInput, Vocabulary, assemble_model_input
 
@@ -177,16 +178,14 @@ def generate_predictions(ckpt: Checkpoint, examples: list[QAExample],
 
 def write_predictions_jsonl(records: list[dict], path: str) -> None:
     """One object per line: id, prediction, gold, beam_size, score. Every
-    record is checked and serialised before the file is opened, so a bad
+    record is checked and serialised before anything is written, so a bad
     record leaves no partial file behind."""
     required = {"id", "prediction", "gold", "beam_size", "score"}
     for rec in records:
         missing = required - rec.keys()
         if missing:
             raise ValueError(f"prediction record missing {sorted(missing)}")
-    lines = [json.dumps(rec, ensure_ascii=False) + "\n" for rec in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    write_atomic(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
 
 
 def read_predictions_jsonl(path: str) -> list[dict]:

@@ -16,6 +16,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import time
@@ -28,6 +29,7 @@ from . import model as M
 from . import training as T
 from .embedding import BackendSpec, create_backend
 from .errors import StageError
+from .fileio import write_atomic
 from .labeler import label_examples, question_type_of, write_labels_jsonl
 from .tokenizer import Vocabulary, tokenize
 
@@ -245,10 +247,11 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
 
 
 def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
 
 
 def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], list[dict]]:

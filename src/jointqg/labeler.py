@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .corpus import QAExample
 from .embedding import cosine_similarity, embed_tokens
 from .errors import SchemaError
+from .fileio import write_atomic
 from .tokenizer import tokenize
 
 QUESTION_TYPES = ("what", "who", "when", "where", "why", "how", "which", "other")
@@ -99,16 +100,17 @@ def write_labels_jsonl(examples: list[QAExample],
     """One record per example: id, relevance labels, scores, k, qtype."""
     if len(examples) != len(labels):
         raise ValueError("examples and labels must align")
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex, lab in zip(examples, labels):
-            rec = {
-                "id": ex.document.id,
-                "relevance": list(lab.labels),
-                "scores": [float(s) for s in lab.scores],
-                "k": lab.k,
-                "qtype": question_type_of(ex.document.question),
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    lines = []
+    for ex, lab in zip(examples, labels):
+        rec = {
+            "id": ex.document.id,
+            "relevance": list(lab.labels),
+            "scores": [float(s) for s in lab.scores],
+            "k": lab.k,
+            "qtype": question_type_of(ex.document.question),
+        }
+        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_atomic(path, "".join(lines))
 
 
 def read_labels_jsonl(path: str) -> dict[str, dict]:

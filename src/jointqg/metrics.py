@@ -18,6 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .fileio import write_atomic
+
 ROUGE_BETA = 1.2
 _STEM_SUFFIXES = ("ing", "ed", "es", "ly", "s")
 _MIN_STEM = 3
@@ -197,6 +199,4 @@ def write_report_json(report: MetricReport, path: str, extra: dict | None = None
     }
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")

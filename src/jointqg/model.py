@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -28,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import NumericError, SchemaError, VocabMismatchError
+from .fileio import atomic_file
 from .labeler import QUESTION_TYPES
 from .tokenizer import BOS_ID, ModelInput, Vocabulary
 
@@ -193,24 +193,36 @@ def _dropout(x: Tensor, rate: float, train: bool, rng) -> Tensor:
     return x * Tensor(keep)
 
 
-def _attention(q_in: Tensor, kv_in: Tensor, bias: np.ndarray | None,
-               p: Parameters, prefix: str, heads: int) -> Tensor:
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    """(B, T, d) -> (B, heads, T, d / heads)."""
+    bsz, t, d = x.shape
+    return x.reshape((bsz, t, heads, d // heads)).transpose(0, 2, 1, 3)
+
+
+def _attention_kv(kv_in: Tensor, p: Parameters, prefix: str,
+                  heads: int) -> tuple[Tensor, Tensor]:
+    """Keys and values of an attention block over kv_in, split into heads."""
+    k = _split_heads(kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"], heads)
+    v = _split_heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], heads)
+    return k, v
+
+
+def _attend(q_in: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
+            p: Parameters, prefix: str, heads: int) -> Tensor:
+    """Attention of the rows of q_in over keys and values from _attention_kv."""
     bsz, tq, d = q_in.shape
-    tk = kv_in.shape[1]
-    dh = d // heads
-
-    def split(x: Tensor, t: int) -> Tensor:
-        return x.reshape((bsz, t, heads, dh)).transpose(0, 2, 1, 3)
-
-    q = split(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], tq)
-    k = split(kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"], tk)
-    v = split(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], tk)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (dh ** -0.5)
+    q = _split_heads(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], heads)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * ((d // heads) ** -0.5)
     if bias is not None:
         scores = scores + Tensor(bias)
     weights = ad.softmax(scores, axis=-1)
     ctx = (weights @ v).transpose(0, 2, 1, 3).reshape((bsz, tq, d))
     return ctx @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+
+
+def _attention(q_in: Tensor, kv_in: Tensor, bias: np.ndarray | None,
+               p: Parameters, prefix: str, heads: int) -> Tensor:
+    return _attend(q_in, *_attention_kv(kv_in, p, prefix, heads), bias, p, prefix, heads)
 
 
 def _ffn(x: Tensor, p: Parameters, prefix: str) -> Tensor:
@@ -294,32 +306,63 @@ def qtype_logits(pooled: Tensor, p: Parameters) -> Tensor:
     return ad.relu(pooled @ p["qt.w1"] + p["qt.b1"]) @ p["qt.w2"] + p["qt.b2"]
 
 
+def _check_target_length(u: int, cfg: ModelConfig) -> None:
+    if u > cfg.max_len:
+        raise ValueError(f"target length {u} exceeds max_len {cfg.max_len}")
+
+
+def _decoder_embed(dec_ids: np.ndarray, start: int, p: Parameters,
+                   cfg: ModelConfig) -> Tensor:
+    """Token plus position embedding of dec_ids at positions start, start + 1, ..."""
+    y = ad.getitem(p["tok_emb"], dec_ids) * (cfg.d_model ** 0.5)
+    return y + ad.getitem(p["pos_dec"], np.arange(start, start + dec_ids.shape[1]))
+
+
+def _decoder_layer(y: Tensor, i: int, past_kv: tuple[Tensor, Tensor] | None,
+                   self_bias: np.ndarray | None, cross_kv: tuple[Tensor, Tensor],
+                   cross_bias: np.ndarray | None, p: Parameters, cfg: ModelConfig,
+                   train: bool = False, rng=None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    """Decoder block i over the rows of y. Self-attention sees past_kv (the
+    keys and values of earlier positions, or None) followed by the rows'
+    own; returns the new rows and those extended keys and values. The
+    extension carries no gradient, so past_kv is for gradient-free use."""
+    heads = cfg.attention_heads
+    h = _layer_norm(y, p, f"dec{i}.ln1")
+    k, v = _attention_kv(h, p, f"dec{i}.self", heads)
+    if past_kv is not None:
+        k, v = (Tensor(np.concatenate([old.data, new.data], axis=2))
+                for old, new in zip(past_kv, (k, v)))
+    y = y + _dropout(_attend(h, k, v, self_bias, p, f"dec{i}.self", heads),
+                     cfg.dropout, train, rng)
+    y = y + _dropout(_attend(_layer_norm(y, p, f"dec{i}.ln2"), *cross_kv, cross_bias,
+                             p, f"dec{i}.cross", heads),
+                     cfg.dropout, train, rng)
+    y = y + _dropout(_ffn(_layer_norm(y, p, f"dec{i}.ln3"), p, f"dec{i}.ff"),
+                     cfg.dropout, train, rng)
+    _check_finite(y, f"decoder layer {i}")
+    return y, (k, v)
+
+
+def _decoder_head(y: Tensor, p: Parameters) -> Tensor:
+    """Final layer norm and vocabulary projection: logits (B, U, V)."""
+    logits = _layer_norm(y, p, "dec_ln_f") @ p["out.w"] + p["out.b"]
+    _check_finite(logits, "output projection")
+    return logits
+
+
 def decoder_logits(dec_ids: np.ndarray, memory: Tensor,
                    memory_bias: np.ndarray | None, p: Parameters,
                    cfg: ModelConfig, train: bool = False, rng=None) -> Tensor:
     """Teacher-forced decoder forward; returns logits (B, U, V)."""
-    bsz, u = dec_ids.shape
-    if u > cfg.max_len:
-        raise ValueError(f"target length {u} exceeds max_len {cfg.max_len}")
-    y = ad.getitem(p["tok_emb"], dec_ids) * (cfg.d_model ** 0.5)
-    y = y + ad.getitem(p["pos_dec"], np.arange(u))
-    y = _dropout(y, cfg.dropout, train, rng)
+    u = dec_ids.shape[1]
+    _check_target_length(u, cfg)
+    y = _dropout(_decoder_embed(dec_ids, 0, p, cfg), cfg.dropout, train, rng)
     self_bias = causal_bias(u)
     for i in range(cfg.decoder_layers):
-        h = _layer_norm(y, p, f"dec{i}.ln1")
-        y = y + _dropout(_attention(h, h, self_bias, p, f"dec{i}.self", cfg.attention_heads),
-                         cfg.dropout, train, rng)
-        y = y + _dropout(
-            _attention(_layer_norm(y, p, f"dec{i}.ln2"), memory, memory_bias,
-                       p, f"dec{i}.cross", cfg.attention_heads),
-            cfg.dropout, train, rng)
-        y = y + _dropout(_ffn(_layer_norm(y, p, f"dec{i}.ln3"), p, f"dec{i}.ff"),
-                         cfg.dropout, train, rng)
-        _check_finite(y, f"decoder layer {i}")
-    y = _layer_norm(y, p, "dec_ln_f")
-    logits = y @ p["out.w"] + p["out.b"]
-    _check_finite(logits, "output projection")
-    return logits
+        cross_kv = _attention_kv(memory, p, f"dec{i}.cross", cfg.attention_heads)
+        y, _ = _decoder_layer(y, i, None, self_bias, cross_kv, memory_bias, p, cfg,
+                              train, rng)
+    return _decoder_head(y, p)
 
 
 def conditioning_memory(token_states: Tensor, pooled: Tensor,
@@ -384,7 +427,19 @@ def selector_forward(sentence_vectors: np.ndarray, p: Parameters) -> np.ndarray:
 
 
 class DecoderSession:
-    """Reusable decoding context for one encoded example."""
+    """Incremental decoding context for one encoded example.
+
+    The cross-attention keys and values of the memory are projected once,
+    here. The state of a prefix is every decoder layer's self-attention
+    keys and values over [BOS] + prefix plus the last position's output
+    row, and it is always built from its parent prefix's state by one
+    one-row step through the same blocks as ``decoder_logits``. A prefix's
+    log-probabilities are therefore a pure function of the prefix: bitwise
+    the same whatever the call order or cache contents. Only the states at
+    the last requested prefix length and the one before it are kept, which
+    is what a beam step needs to extend its live hypotheses. The session
+    reads the parameters as they were when it was built.
+    """
 
     def __init__(self, enc: EncoderOutput, p: Parameters, cfg: ModelConfig):
         self.p = p
@@ -394,13 +449,41 @@ class DecoderSession:
         pooled = Tensor(enc.pooled[None])
         self.memory, self.memory_bias = conditioning_memory(
             states, pooled, np.ones((1, t)), cfg)
+        with ad.no_grad():
+            self.cross_kv = [_attention_kv(self.memory, p, f"dec{i}.cross",
+                                           cfg.attention_heads)
+                             for i in range(cfg.decoder_layers)]
+        # [BOS] + prefix ids -> (per-layer self-attention (k, v), last output row)
+        self._states: dict[tuple[int, ...], tuple[list, Tensor]] = {}
+
+    def _extend(self, kv: list | None, token: int, position: int) -> tuple[list, Tensor]:
+        """The state after appending token at position to the state kv."""
+        y = _decoder_embed(np.array([[token]], dtype=np.int64), position, self.p, self.cfg)
+        new_kv = []
+        for i in range(self.cfg.decoder_layers):
+            y, layer_kv = _decoder_layer(y, i, kv[i] if kv else None, None, self.cross_kv[i],
+                                         self.memory_bias, self.p, self.cfg)
+            new_kv.append(layer_kv)
+        return new_kv, y
 
     def step_logprobs(self, prefix_ids) -> np.ndarray:
         """Log-probabilities of the next token after the generated prefix."""
-        ids = np.asarray([BOS_ID] + list(prefix_ids), dtype=np.int64)[None, :]
-        with ad.no_grad():
-            logits = decoder_logits(ids, self.memory, self.memory_bias, self.p, self.cfg)
-            lp = ad.log_softmax(logits[0, -1], axis=-1)
+        ids = (BOS_ID,) + tuple(int(t) for t in prefix_ids)
+        u = len(ids)
+        _check_target_length(u, self.cfg)
+        n = u  # length of the longest cached ancestor
+        while n and ids[:n] not in self._states:
+            n -= 1
+        kv, y = self._states[ids[:n]] if n else (None, None)
+        try:
+            with ad.no_grad():
+                for t in range(n, u):
+                    kv, y = self._extend(kv, ids[t], t)
+                    self._states[ids[:t + 1]] = (kv, y)
+                lp = ad.log_softmax(_decoder_head(y, self.p)[0, -1], axis=-1)
+        finally:
+            self._states = {key: s for key, s in self._states.items()
+                            if u - 1 <= len(key) <= u}
         return lp.data
 
 
@@ -447,20 +530,14 @@ def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
         info.compress_type = zipfile.ZIP_STORED
         return info
 
-    # written beside the target and renamed into place, so a failed save
-    # leaves the previous file (or none) rather than a truncated one
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with zipfile.ZipFile(tmp, "w") as zf:
-            zf.writestr(entry("meta.json"), json.dumps(meta, indent=1, sort_keys=True))
-            for name, tensor in params.items():
-                buf = io.BytesIO()
-                np.save(buf, tensor.data.astype("<f4"), allow_pickle=False)
-                zf.writestr(entry(f"tensors/{name}.npy"), buf.getvalue())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    # streamed into the temp file: a whole container in memory would add
+    # its size (~31 MB at V=30k) to peak memory and time to every save
+    with atomic_file(path) as fh, zipfile.ZipFile(fh, "w") as zf:
+        zf.writestr(entry("meta.json"), json.dumps(meta, indent=1, sort_keys=True))
+        for name, tensor in params.items():
+            buf = io.BytesIO()
+            np.save(buf, tensor.data.astype("<f4"), allow_pickle=False)
+            zf.writestr(entry(f"tensors/{name}.npy"), buf.getvalue())
 
 
 def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Checkpoint:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import QAExample, normalize_text
 from .errors import InputTooLongError, SchemaError
+from .fileio import write_atomic
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -94,8 +95,7 @@ class Vocabulary:
         return " ".join(out)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.serialize())
+        write_atomic(path, self.serialize())
 
     def serialize(self) -> str:
         lines = [_VOCAB_HEADER] + self.id_to_token[N_SPECIALS:]

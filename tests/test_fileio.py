@@ -1,0 +1,79 @@
+"""Run artifacts are written whole or not at all: each writer serialises its
+payload first and renames a temp file beside the target into place."""
+import dataclasses
+import os
+
+import pytest
+
+from jointqg import harness as H
+from jointqg.corpus import write_corpus_jsonl
+from jointqg.fileio import write_atomic
+from jointqg.labeler import RelevanceLabels, write_labels_jsonl
+from jointqg.metrics import score_corpus, write_report_json
+
+
+def test_write_atomic_writes_text_as_utf8_and_bytes_as_given(tmp_path):
+    path = tmp_path / "a.txt"
+    write_atomic(str(path), "één\n")
+    assert path.read_bytes() == "één\n".encode("utf-8")
+    write_atomic(str(path), b"\x00\x01")
+    assert path.read_bytes() == b"\x00\x01"
+    assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_write_atomic_failed_rename_leaves_no_temp_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(OSError):
+        write_atomic(str(taken), "x")
+    assert os.listdir(tmp_path) == ["taken"] and taken.is_dir()
+
+
+def _report_writer(examples, bad):
+    report = score_corpus([["a", "b"]], [["a", "b"]], ids=["x"])
+    extra = {"config": {"seed": object() if bad else 0}}
+    return lambda path: write_report_json(report, path, extra=extra)
+
+
+def _labels_writer(examples, bad):
+    labels = [RelevanceLabels((1,) + (0,) * (len(ex.sentences) - 1),
+                              (0.5,) * len(ex.sentences), 1) for ex in examples]
+    if bad:  # the last record cannot be serialised
+        labels[-1] = dataclasses.replace(labels[-1],
+                                         scores=(object(),) * len(labels[-1].scores))
+    return lambda path: write_labels_jsonl(examples, labels, path)
+
+
+def _corpus_writer(examples, bad):
+    if bad:
+        last = examples[-1]
+        examples = examples[:-1] + [dataclasses.replace(
+            last, document=dataclasses.replace(last.document, id=object()))]
+    return lambda path: write_corpus_jsonl(examples, path)
+
+
+@pytest.mark.parametrize("make_writer", [_report_writer, _labels_writer, _corpus_writer],
+                         ids=["report", "labels", "corpus"])
+def test_unserialisable_value_leaves_no_file_and_keeps_the_old_one(
+        tmp_path, tiny_examples, make_writer):
+    fresh, old = str(tmp_path / "fresh"), str(tmp_path / "old")
+    make_writer(tiny_examples, bad=False)(old)
+    with open(old, "rb") as fh:
+        before = fh.read()
+    for path in (fresh, old):
+        with pytest.raises(TypeError):
+            make_writer(tiny_examples, bad=True)(path)
+    assert not os.path.exists(fresh)
+    with open(old, "rb") as fh:
+        assert fh.read() == before
+    assert sorted(os.listdir(tmp_path)) == ["old"]
+
+
+def test_csv_with_a_bad_row_leaves_the_old_file(tmp_path):
+    path = str(tmp_path / "sweep_k.csv")
+    H._write_csv(path, ["k"], [{"k": 1}, {"k": 2}])
+    with pytest.raises(ValueError):
+        H._write_csv(path, ["k"], [{"k": 1}, {"other": 3}])
+    with open(path, "rb") as fh:
+        assert fh.read() == b"k\r\n1\r\n2\r\n"
+    assert os.listdir(tmp_path) == ["sweep_k.csv"]

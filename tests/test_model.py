@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from jointqg import model as M
-from jointqg.autodiff import Tensor
+from jointqg.autodiff import Tensor, log_softmax, no_grad
+from jointqg.decoding import beam_search_nbest
 from jointqg.errors import NumericError, SchemaError, VocabMismatchError
-from jointqg.tokenizer import assemble_model_input, pad_batch
+from jointqg.tokenizer import BOS_ID, assemble_model_input, pad_batch
 from conftest import small_model_cfg
 from oracles import grouped_mean_oracle
 from reference_model import (
@@ -343,6 +344,130 @@ def test_session_matches_decoder_step(ibm_example, tiny_vocab, tiny_params,
                                               tiny_model_cfg)).max() < 1e-12
     again = session.step_logprobs([8, 9])
     assert np.array_equal(lp, again)
+
+
+# ------------------------------------------- incremental decoder session
+
+def _sharp_params(cfg, seed=7):
+    """Seeded init plus wide noise, so next-token rows are far from uniform."""
+    p = M.Parameters.init(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for t in p.tensors.values():
+        t.data += rng.normal(0.0, 0.3, size=t.shape)
+    return p
+
+
+@pytest.fixture(scope="module", params=["token_attention", "pooled"])
+def session_setup(request):
+    cfg = small_model_cfg(40, decoder_layers=2, max_len=24,
+                          conditioning_mode=request.param)
+    p = _sharp_params(cfg)
+    states = M.encode_token_ids(_rand_ids(np.random.default_rng(4), 11, 40), p, cfg)
+    return cfg, p, M.EncoderOutput(states, states.mean(axis=0), states[:2])
+
+
+def _full_recompute(session, prefix):
+    """log_softmax of the last row of decoder_logits over [BOS] + prefix."""
+    ids = np.array([[BOS_ID] + list(prefix)], dtype=np.int64)
+    with no_grad():
+        logits = M.decoder_logits(ids, session.memory, session.memory_bias,
+                                  session.p, session.cfg)
+        return log_softmax(logits[0, -1], axis=-1).data
+
+
+def _prefix_family(cfg, rng):
+    """A root-to-leaf chain of every length up to max_len - 1 plus branches
+    off it at several depths."""
+    chain = [int(t) for t in rng.integers(6, cfg.vocab_size, size=cfg.max_len - 1)]
+    prefixes = [tuple(chain[:n]) for n in range(cfg.max_len)]
+    for depth in (0, 1, 5, cfg.max_len // 2, cfg.max_len - 2):
+        prefixes.append(tuple(chain[:depth]) + (int(rng.integers(6, cfg.vocab_size)),))
+    return prefixes
+
+
+def test_session_matches_full_recompute_in_any_call_order(session_setup):
+    cfg, p, enc = session_setup
+    prefixes = _prefix_family(cfg, np.random.default_rng(1))
+    sequential = M.DecoderSession(enc, p, cfg)
+    want = {pre: sequential.step_logprobs(pre) for pre in prefixes}
+    for pre, lp in want.items():
+        assert np.abs(lp - _full_recompute(sequential, pre)).max() <= 1e-9
+    assert max(len(pre) for pre in want) == cfg.max_len - 1
+
+    shuffled = [prefixes[i] for i in np.random.default_rng(2).permutation(len(prefixes))]
+    orders = {
+        "fresh": [[pre] for pre in prefixes],
+        "reverse": [prefixes[::-1]],
+        "shuffled": [shuffled],
+        "repeated": [[pre, pre, pre[:1], pre] for pre in prefixes[::7]],
+    }
+    for name, calls in orders.items():
+        for run in calls:
+            session = M.DecoderSession(enc, p, cfg)
+            for pre in run:
+                assert np.array_equal(session.step_logprobs(list(pre)), want[pre]), name
+
+
+def test_session_beam_like_branching_is_bitwise_stable(session_setup):
+    cfg, p, enc = session_setup
+    rng = np.random.default_rng(3)
+    session = M.DecoderSession(enc, p, cfg)
+    live = [()]
+    for _ in range(12):
+        rows = {pre: session.step_logprobs(pre) for pre in live}
+        for pre, lp in rows.items():
+            assert np.array_equal(lp, M.DecoderSession(enc, p, cfg).step_logprobs(pre))
+        # every live hypothesis spawns two children; four survive
+        children = [pre + (int(t),) for pre in live
+                    for t in rng.choice(np.arange(6, cfg.vocab_size), 2, replace=False)]
+        live = [children[i] for i in sorted(rng.choice(len(children),
+                                                       min(4, len(children)), replace=False))]
+
+
+@pytest.mark.parametrize("mode", ["token_attention", "pooled"])
+@pytest.mark.parametrize("beam", [1, 2, 3, 4, 5])
+def test_session_and_full_recompute_decode_the_same_ids(ibm_example, tiny_vocab,
+                                                        mode, beam):
+    cfg = small_model_cfg(len(tiny_vocab), decoder_layers=2, max_len=128,
+                          conditioning_mode=mode)
+    p = _sharp_params(cfg)
+    session = M.DecoderSession(_encoded(ibm_example, tiny_vocab, p, cfg), p, cfg)
+    cached = beam_search_nbest(session.step_logprobs, beam, max_len=12)
+    full = beam_search_nbest(lambda pre: _full_recompute(session, pre), beam, max_len=12)
+    assert [r.ids for r in cached] == [r.ids for r in full]
+    assert np.allclose([r.score for r in cached], [r.score for r in full],
+                       rtol=0.0, atol=1e-9)
+
+
+def test_session_rejects_prefix_at_max_len_and_stays_usable(session_setup):
+    cfg, p, enc = session_setup
+    session = M.DecoderSession(enc, p, cfg)
+    ok = [8] * (cfg.max_len - 1)
+    want = session.step_logprobs(ok)
+    with pytest.raises(ValueError, match="max_len"):
+        session.step_logprobs(ok + [9])
+    assert np.array_equal(session.step_logprobs(ok), want)
+    assert np.array_equal(session.step_logprobs([8, 9]),
+                          M.DecoderSession(enc, p, cfg).step_logprobs([8, 9]))
+
+
+def test_session_numeric_error_names_layer_and_session_recovers(session_setup):
+    cfg, params, enc = session_setup
+    p = params.copy()
+    session = M.DecoderSession(enc, p, cfg)
+    want = M.DecoderSession(enc, params, cfg).step_logprobs([8, 9, 10])
+    good = p["dec1.ff.w1"].data[0, 0]
+    p["dec1.ff.w1"].data[0, 0] = np.inf
+    with pytest.raises(NumericError) as info:
+        session.step_logprobs([8, 9, 10])
+    assert info.value.where == "decoder layer 1"
+    p["dec1.ff.w1"].data[0, 0] = good
+    assert np.array_equal(session.step_logprobs([8, 9, 10]), want)
+
+    q = params.copy()
+    q["out.b"].data[5] = np.inf
+    with pytest.raises(NumericError, match="output projection"):
+        M.DecoderSession(enc, q, cfg).step_logprobs([8])
 
 
 def test_qtype_head_shape(oracle_setup):
