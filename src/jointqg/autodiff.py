@@ -2,9 +2,11 @@
 
 Every differentiable operation returns a Tensor holding its parents and a
 vector-Jacobian callback; backward() walks the graph once in reverse
-topological order and accumulates gradients into leaf tensors. All
-computation runs in float64. The op set is exactly what the encoder,
-decoder, heads and losses in this package need.
+topological order and accumulates gradients into leaf tensors. A VJP
+returns None for an operand that needs no gradient (a constant such as a
+mask or a scale), so no arithmetic is spent on it. All computation runs
+in float64. The op set is exactly what the encoder, decoder, heads and
+losses in this package need.
 """
 from __future__ import annotations
 
@@ -132,7 +134,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 
@@ -142,8 +145,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 
@@ -153,8 +156,9 @@ def div(a, b) -> Tensor:
     out = a.data / b.data
 
     def vjp(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 
@@ -164,14 +168,25 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # a batched projection: fold the batch dims into the rows so the
+            # weight gradient is one (d, N) @ (N, e) GEMM, not B products
+            # summed over a (B, d, e) temporary
+            d, e = b.data.shape
+            g2 = np.asarray(g).reshape(-1, e)
+            return ((g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None,
+                    a.data.reshape(-1, d).T @ g2 if b.requires_grad else None)
         # promote 1-D operands to matrices, mirroring numpy @ semantics
         a_mat = a.data if a.data.ndim > 1 else a.data.reshape(1, -1)
         b_mat = b.data if b.data.ndim > 1 else b.data.reshape(-1, 1)
         batch = np.broadcast_shapes(a_mat.shape[:-2], b_mat.shape[:-2])
         gg = np.asarray(g).reshape(batch + (a_mat.shape[-2], b_mat.shape[-1]))
-        ga = _unbroadcast(gg @ np.swapaxes(b_mat, -1, -2), a_mat.shape)
-        gb = _unbroadcast(np.swapaxes(a_mat, -1, -2) @ gg, b_mat.shape)
-        return ga.reshape(a.data.shape), gb.reshape(b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(gg @ np.swapaxes(b_mat, -1, -2), a_mat.shape).reshape(a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a_mat, -1, -2) @ gg, b_mat.shape).reshape(b.data.shape)
+        return ga, gb
 
     return _make(out, (a, b), vjp)
 

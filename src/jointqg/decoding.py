@@ -145,7 +145,9 @@ def load_selector_beside(ckpt_path: str, vocab: Vocabulary) -> Checkpoint | None
     if not os.path.exists(path):
         return None
     selector = load_checkpoint(path, expected_vocab=vocab)
-    if not isinstance(selector.selector_k, int) or selector.selector_k < 1:
+    k = selector.selector_k
+    # bool is an int subclass, so a recorded `true` would pass as k=1
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise SchemaError(f"{path}: selector checkpoint does not record a positive k")
     return selector
 

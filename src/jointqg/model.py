@@ -496,7 +496,9 @@ def decoder_step(enc: EncoderOutput, prefix_ids, p: Parameters,
 # checkpoint container: zip of meta.json plus one float32 .npy per tensor.
 # Entries are stored uncompressed: float32 weights barely deflate (about 8%)
 # and inflating them dominated load time. The loader also reads deflated
-# entries, so both kinds of checkpoint load.
+# entries, so both kinds of checkpoint load. It reads each entry once
+# (CRC-checked), checks the float32 payload in place and converts it once
+# to float64.
 
 CHECKPOINT_VERSION = "1"
 
@@ -540,6 +542,26 @@ def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
             zf.writestr(entry(f"tensors/{name}.npy"), buf.getvalue())
 
 
+def _npy_view(raw: bytes) -> np.ndarray:
+    """The array stored in one ``.npy`` entry, as a read-only view of its
+    bytes: no copy is made before the caller's one float64 conversion."""
+    fp = io.BytesIO(raw)
+    version = np.lib.format.read_magic(fp)
+    if version == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fp)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(fp)
+    else:
+        raise ValueError(f"unsupported .npy format version {version}")
+    if dtype.hasobject:
+        raise ValueError("object arrays are not allowed")
+    count = int(np.prod(shape, dtype=np.int64))
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=fp.tell())
+    if fortran_order:
+        return arr.reshape(shape[::-1]).T
+    return arr.reshape(shape)
+
+
 def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Checkpoint:
     try:
         zf = zipfile.ZipFile(path)
@@ -564,8 +586,7 @@ def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Chec
         tensors = {}
         for name in names:
             try:
-                arr = np.lib.format.read_array(io.BytesIO(zf.read(f"tensors/{name}.npy")),
-                                               allow_pickle=False)
+                arr = _npy_view(zf.read(f"tensors/{name}.npy"))
             except (KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:
                 raise SchemaError(f"{path}: tensor {name} is missing or corrupt "
                                   f"({type(e).__name__}: {e})") from e

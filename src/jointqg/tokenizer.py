@@ -210,8 +210,8 @@ def assemble_model_input(example: QAExample, vocab: Vocabulary,
 def pad_batch(inputs: list[ModelInput]) -> dict[str, np.ndarray]:
     """Right-pad a list of ModelInputs into dense (B, T) arrays.
 
-    Returns token_ids, nonpad (1 on real tokens), sentence_index (-1 on
-    padding), and answer_mask.
+    Returns token_ids, nonpad (1 on real tokens) and sentence_index (-1 on
+    padding).
     """
     if not inputs:
         raise ValueError("empty batch")
@@ -220,12 +220,9 @@ def pad_batch(inputs: list[ModelInput]) -> dict[str, np.ndarray]:
     ids = np.full((bsz, tmax), PAD_ID, dtype=np.int64)
     nonpad = np.zeros((bsz, tmax), dtype=np.int64)
     sent = np.full((bsz, tmax), -1, dtype=np.int64)
-    amask = np.zeros((bsz, tmax), dtype=np.int64)
     for b, mi in enumerate(inputs):
         t = mi.length
         ids[b, :t] = mi.token_ids
         nonpad[b, :t] = 1
         sent[b, :t] = mi.sentence_index
-        amask[b, :t] = mi.answer_mask
-    return {"token_ids": ids, "nonpad": nonpad,
-            "sentence_index": sent, "answer_mask": amask}
+    return {"token_ids": ids, "nonpad": nonpad, "sentence_index": sent}

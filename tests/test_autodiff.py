@@ -54,6 +54,76 @@ def test_matmul_batched_broadcast_grad():
     _check(lambda a, b: ad.matmul(a, b), [(2, 3, 4), (4, 5)], seed=4)
 
 
+def test_matmul_4d_batched_broadcast_grad():
+    _check(lambda a, b: ad.matmul(a, b), [(2, 3, 4, 5), (5, 3)], seed=26)
+
+
+def _per_batch_matmul_grads(a, b, g):
+    """The weight and input gradients of a @ b, one batch row at a time."""
+    d, e = b.shape
+    a3, g3 = a.reshape(-1, a.shape[-2], d), g.reshape(-1, g.shape[-2], e)
+    gb = sum(ab.T @ gg for ab, gg in zip(a3, g3))
+    ga = np.stack([gg @ b.T for gg in g3]).reshape(a.shape)
+    return ga, gb
+
+
+@pytest.mark.parametrize("case", ["vocab-head", "4d", "transposed-view"])
+def test_matmul_folded_grads_match_per_batch_sum(case):
+    # a batched projection folds its batch dims into one GEMM per gradient;
+    # only the summation order may differ from the per-batch products
+    rng = np.random.default_rng(27)
+    if case == "vocab-head":
+        a, b = rng.standard_normal((16, 16, 128)), rng.standard_normal((128, 5006))
+    elif case == "4d":
+        a, b = rng.standard_normal((3, 4, 5, 6)), rng.standard_normal((6, 7))
+    else:
+        a = rng.standard_normal((5, 6, 4)).transpose(0, 2, 1)
+        b = rng.standard_normal((6, 3))
+        assert not a.flags.c_contiguous
+    ta, tb = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
+    out = ad.matmul(ta, tb)
+    g = rng.standard_normal(out.shape)
+    ad.backward(out, seed=g)
+    ga, gb = _per_batch_matmul_grads(a, b, g)
+    assert ta.grad.shape == a.shape and tb.grad.shape == b.shape
+    assert np.abs(ta.grad - ga).max() <= 1e-12 * np.abs(ga).max()
+    assert np.abs(tb.grad - gb).max() <= 1e-12 * np.abs(gb).max()
+
+
+_BINARY_OPS = [
+    ("add", ad.add, (3, 4), (4,)),
+    ("mul", ad.mul, (3, 4), (3, 1)),
+    ("mul-scalar", ad.mul, (3, 4), ()),
+    ("div", ad.div, (3, 4), (3, 4)),
+    ("matmul", ad.matmul, (3, 4), (4, 2)),
+    ("matmul-folded", ad.matmul, (2, 3, 4), (4, 2)),
+    ("matmul-batched", ad.matmul, (2, 3, 4), (2, 4, 5)),
+]
+
+
+@pytest.mark.parametrize("name, op, shape_a, shape_b", _BINARY_OPS,
+                         ids=[c[0] for c in _BINARY_OPS])
+@pytest.mark.parametrize("const", [0, 1])
+def test_constant_operand_gets_no_gradient(name, op, shape_a, shape_b, const):
+    rng = np.random.default_rng(28)
+    arrays = [rng.standard_normal(shape_a), rng.standard_normal(shape_b)]
+    if name == "div":
+        arrays[1] = arrays[1] ** 2 + 1.0
+    out_shape = op(ad.Tensor(arrays[0]), ad.Tensor(arrays[1])).shape
+    g = rng.standard_normal(out_shape)
+    # reference: both operands need a gradient
+    both = [ad.Tensor(x, requires_grad=True) for x in arrays]
+    ad.backward(op(*both), seed=g)
+    # the same op with one operand a constant
+    mixed = [ad.Tensor(x, requires_grad=i != const) for i, x in enumerate(arrays)]
+    out = op(*mixed)
+    assert out._vjp(g)[const] is None
+    ad.backward(out, seed=g)
+    assert mixed[const].grad is None
+    var = 1 - const
+    assert mixed[var].grad.tobytes() == both[var].grad.tobytes()
+
+
 def test_matmul_vector_grad():
     _check(lambda a, b: ad.matmul(a, b), [(5,), (5, 3)], seed=5)
     _check(lambda a, b: ad.matmul(a, b), [(3, 4), (4,)], seed=24)

@@ -11,7 +11,7 @@ import pytest
 
 from jointqg import model as M
 from jointqg.autodiff import Tensor, log_softmax, no_grad
-from jointqg.decoding import beam_search_nbest
+from jointqg.decoding import beam_search_nbest, load_selector_beside
 from jointqg.errors import NumericError, SchemaError, VocabMismatchError
 from jointqg.tokenizer import BOS_ID, assemble_model_input, pad_batch
 from conftest import small_model_cfg
@@ -637,6 +637,29 @@ def test_checkpoint_missing_tensor_rejected(tmp_path, tiny_params,
         M.load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("value, ok", [(2, True), (True, False), (0, False),
+                                       (2.0, False), ("2", False)])
+def test_selector_beside_requires_positive_integer_k(tmp_path, tiny_params,
+                                                     tiny_model_cfg, tiny_vocab,
+                                                     value, ok):
+    import json as _json
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab, selector_k=2)
+    with zipfile.ZipFile(src) as zf:
+        meta = _json.loads(zf.read("meta.json"))
+    meta["selector_k"] = value
+    run = tmp_path / "run"
+    run.mkdir()
+    _tampered_copy(src, str(run / "selector.ckpt"),
+                   replace=("meta.json", _json.dumps(meta).encode()))
+    # bool is an int subclass, so `true` must be refused explicitly
+    if ok:
+        assert load_selector_beside(str(run / "model.ckpt"), tiny_vocab).selector_k == 2
+    else:
+        with pytest.raises(SchemaError, match="selector.ckpt"):
+            load_selector_beside(str(run / "model.ckpt"), tiny_vocab)
+
+
 def _npy_bytes(arr):
     buf = io.BytesIO()
     np.save(buf, arr, allow_pickle=False)
@@ -658,6 +681,37 @@ def test_checkpoint_malformed_tensor_rejected(tmp_path, tiny_params, tiny_model_
     _tampered_copy(src, bad, replace=("tensors/out.b.npy", make(len(tiny_vocab))))
     with pytest.raises(SchemaError, match=r"bad\.ckpt: tensor out\.b "):
         M.load_checkpoint(bad)
+
+
+def test_checkpoint_object_array_entry_rejected(tmp_path, tiny_params, tiny_model_cfg,
+                                                tiny_vocab):
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    buf = io.BytesIO()
+    np.save(buf, np.array([None] * len(tiny_vocab), dtype=object), allow_pickle=True)
+    bad = str(tmp_path / "bad.ckpt")
+    _tampered_copy(src, bad, replace=("tensors/out.b.npy", buf.getvalue()))
+    with pytest.raises(SchemaError, match=r"bad\.ckpt: tensor out\.b .*[Oo]bject"):
+        M.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("layout", ["fortran-order", "npy-version-2"])
+def test_checkpoint_entry_layouts_load_the_same_values(tmp_path, tiny_params,
+                                                       tiny_model_cfg, tiny_vocab,
+                                                       layout):
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    arr = tiny_params["sel.w1"].data.astype("<f4")
+    buf = io.BytesIO()
+    if layout == "fortran-order":
+        np.save(buf, np.asfortranarray(arr), allow_pickle=False)
+    else:
+        np.lib.format.write_array(buf, arr, version=(2, 0), allow_pickle=False)
+    other = str(tmp_path / "other.ckpt")
+    _tampered_copy(src, other, replace=("tensors/sel.w1.npy", buf.getvalue()))
+    a, b = M.load_checkpoint(src), M.load_checkpoint(other)
+    for name in a.params.names():
+        assert np.array_equal(a.params[name].data, b.params[name].data)
 
 
 @pytest.mark.parametrize("entry, message", [
