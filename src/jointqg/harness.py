@@ -175,6 +175,15 @@ def _make_run_dir(cfg: ExperimentConfig) -> str:
             run_dir = f"{base}-{n}"
 
 
+def _label_backend(cfg: ExperimentConfig, model_cfg: M.ModelConfig, vocab: Vocabulary):
+    """The label stage's backend. Only model_encoder reads model parameters,
+    so only it gets a fresh initialisation; the caller drops the backend
+    after labelling, so those parameters do not stay alive through training."""
+    params = (M.Parameters.init(model_cfg, seed=cfg.seed)
+              if cfg.backend.kind == "model_encoder" else None)
+    return create_backend(cfg.backend, params=params, config=model_cfg, vocab=vocab)
+
+
 def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
     """Execute every stage; returns the evaluation report and run dir."""
     run_dir = _make_run_dir(cfg)
@@ -197,10 +206,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
             train_cfg = cfg.train_config()
 
         with _stage("label"):
-            init_params = M.Parameters.init(model_cfg, seed=cfg.seed)
-            backend = create_backend(cfg.backend, params=init_params,
-                                     config=model_cfg, vocab=vocab)
-            labels = label_examples(train_examples, backend, cfg.k)
+            labels = label_examples(train_examples,
+                                    _label_backend(cfg, model_cfg, vocab), cfg.k)
             qtypes = [question_type_of(ex.document.question) for ex in train_examples]
             write_labels_jsonl(train_examples, labels,
                                os.path.join(run_dir, "labels.jsonl"))

@@ -110,7 +110,10 @@ class Vocabulary:
             lines = fh.read().splitlines()
         if not lines or lines[0] != _VOCAB_HEADER:
             raise SchemaError(f"{path}: missing or unknown vocab header")
-        return cls(list(SPECIAL_TOKENS) + [ln for ln in lines[1:] if ln])
+        try:
+            return cls(list(SPECIAL_TOKENS) + [ln for ln in lines[1:] if ln])
+        except ValueError as e:
+            raise SchemaError(f"{path}: {e}") from e
 
 
 @dataclass

@@ -160,7 +160,8 @@ class Adam:
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            # a scalar zero gives bitwise the same moments as a zeros array
+            g = p.grad if p.grad is not None else 0.0
             m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
             v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
@@ -288,6 +289,22 @@ def _batch_losses(batch, params, model_cfg, mode, lam, dropout_rng):
     return total, sel_loss, gen_loss
 
 
+def _backward_step(batch, params, model_cfg, mode, lam, dropout_rng,
+                   step) -> tuple[float, float, float]:
+    """Forward and backward one batch into the parameters' .grad; returns
+    the (total, selection, generation) loss values, 0.0 for an unused
+    branch. The step's graph is released on return, so the next forward
+    never runs while an older graph is still alive."""
+    params.zero_grad()
+    total, sel_l, gen_l = _batch_losses(batch, params, model_cfg, mode, lam,
+                                        dropout_rng)
+    if not np.isfinite(total.data):
+        raise NumericError("non-finite loss", where=f"step {step}")
+    ad.backward(total)
+    return (total.item(), sel_l.item() if sel_l is not None else 0.0,
+            gen_l.item() if gen_l is not None else 0.0)
+
+
 def _run_stage(prepared, params, model_cfg, train_cfg, mode, epochs, history,
                log_fh, order_rng, dropout_rng, label_refresh=None,
                record_mode=None, step_offset=0) -> int:
@@ -308,18 +325,15 @@ def _run_stage(prepared, params, model_cfg, train_cfg, mode, epochs, history,
         count = 0
         for lo in range(0, n, train_cfg.batch_size):
             batch = [prepared[i] for i in order[lo:lo + train_cfg.batch_size]]
-            params.zero_grad()
-            total, sel_l, gen_l = _batch_losses(batch, params, model_cfg, mode,
-                                                train_cfg.lambda_weight, dropout_rng)
             step += 1
-            if not np.isfinite(total.data):
-                raise NumericError("non-finite loss", where=f"step {step}")
-            ad.backward(total)
+            total, sel_l, gen_l = _backward_step(batch, params, model_cfg, mode,
+                                                 train_cfg.lambda_weight,
+                                                 dropout_rng, step)
             adam.step()
             b = len(batch)
-            sums["total"] += total.item() * b
-            sums["sel"] += (sel_l.item() if sel_l is not None else 0.0) * b
-            sums["gen"] += (gen_l.item() if gen_l is not None else 0.0) * b
+            sums["total"] += total * b
+            sums["sel"] += sel_l * b
+            sums["gen"] += gen_l * b
             count += b
         record = {
             "epoch": epoch,

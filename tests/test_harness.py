@@ -16,9 +16,9 @@ from jointqg import model as M
 from jointqg.cli import main as cli_main
 from jointqg.corpus import load_squad_json, read_corpus_jsonl
 from jointqg.decoding import read_predictions_jsonl
-from jointqg.embedding import BackendSpec
+from jointqg.embedding import BackendSpec, create_backend
 from jointqg.errors import SchemaError, StageError
-from jointqg.labeler import read_labels_jsonl
+from jointqg.labeler import label_examples, read_labels_jsonl, write_labels_jsonl
 from jointqg.tokenizer import Vocabulary
 
 import synth
@@ -63,6 +63,38 @@ def test_pipeline_writes_every_artifact(pipeline_run):
 
 def test_lock_released_after_run(pipeline_run):
     assert not (pipeline_run["run_dir"] / "lock").exists()
+
+
+@pytest.mark.parametrize("kind,inits", [("bag_mean", 2), ("model_encoder", 3)])
+def test_label_stage_initialises_parameters_only_for_model_encoder(
+        tmp_path, monkeypatch, kind, inits):
+    # two_step trains two parameter sets; only a model_encoder backend
+    # needs a third, for labelling
+    data = pathlib.Path(__file__).parent / "data" / "squad_tiny.json"
+    cfg = make_cfg(tmp_path / "runs", data, mode="two_step")
+    cfg.backend = BackendSpec(kind=kind, dim=16, seed=0)
+    real_init = M.Parameters.init.__func__
+    calls = []
+
+    def counting_init(cls, *args, **kw):
+        calls.append(kw.get("seed"))
+        return real_init(cls, *args, **kw)
+
+    monkeypatch.setattr(M.Parameters, "init", classmethod(counting_init))
+    _, run_dir = H.run_pipeline(cfg)
+    monkeypatch.undo()
+    assert len(calls) == inits
+
+    # the labels are those of the same backend built by hand
+    examples = load_squad_json(str(data))
+    vocab = Vocabulary.load(str(pathlib.Path(run_dir) / "vocab.txt"))
+    model_cfg = cfg.model_config(len(vocab))
+    backend = create_backend(cfg.backend,
+                             params=M.Parameters.init(model_cfg, seed=cfg.seed),
+                             config=model_cfg, vocab=vocab)
+    want = tmp_path / "labels.jsonl"
+    write_labels_jsonl(examples, label_examples(examples, backend, cfg.k), str(want))
+    assert (pathlib.Path(run_dir) / "labels.jsonl").read_bytes() == want.read_bytes()
 
 
 def test_run_dir_name_carries_config_hash(pipeline_run):

@@ -105,6 +105,16 @@ def test_load_rejects_missing_header(tmp_path):
         Vocabulary.load(str(p))
 
 
+@pytest.mark.parametrize("body", ["apple\nbanana\napple\n", "apple\n<pad>\n"])
+def test_load_rejects_duplicate_token_naming_the_file(tmp_path, tiny_vocab, body):
+    p = tmp_path / "vocab.txt"
+    header = tiny_vocab.serialize().splitlines()[0]
+    p.write_text(f"{header}\n{body}", encoding="utf-8")
+    with pytest.raises(SchemaError, match="duplicate token") as exc:
+        Vocabulary.load(str(p))
+    assert str(p) in str(exc.value)
+
+
 # ------------------------------------------------------ input assembly
 
 def test_ibm_input_has_four_ordinals(ibm_example, tiny_vocab):

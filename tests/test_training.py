@@ -1,5 +1,6 @@
 """Losses, optimizer and the training loop across the four modes."""
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -136,6 +137,31 @@ def test_adam_missing_grad_counts_as_zero():
     p = _single_param([4.0])  # no grad set
     T.Adam(p, lr=0.1, weight_decay=0.0).step()
     assert np.array_equal(p["w"].data, [4.0])
+
+
+def test_adam_missing_grad_is_bitwise_an_explicit_zero_grad():
+    rng = np.random.default_rng(4)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 2)}
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    # per step, the gradients that are present; the rest are missing
+    grads = [{"a": rng.normal(size=(3, 4))},
+             {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)},
+             {"c": rng.normal(size=(2, 2))}]
+
+    def run(explicit_zeros):
+        p = Parameters({k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()})
+        adam = T.Adam(p, lr=0.01, weight_decay=0.01)
+        for step in grads:
+            for k, t in p.items():
+                t.grad = step.get(k, np.zeros(shapes[k]) if explicit_zeros else None)
+            adam.step()
+        return p, adam
+
+    (p_none, a_none), (p_zero, a_zero) = run(False), run(True)
+    for k in shapes:
+        assert p_none[k].data.tobytes() == p_zero[k].data.tobytes()
+        assert a_none._m[k].tobytes() == a_zero._m[k].tobytes()
+        assert a_none._v[k].tobytes() == a_zero._v[k].tobytes()
 
 
 def test_adam_decay_independent_of_lr():
@@ -360,6 +386,32 @@ def test_nan_loss_aborts_with_step(stall_setup, monkeypatch):
     monkeypatch.setattr(T, "_batch_losses", poisoned)
     with pytest.raises(NumericError, match="step 1"):
         _train(stall_setup, mode="generation_only", epochs=1)
+
+
+@pytest.mark.parametrize("mode", ["joint", "two_step"])
+def test_each_step_graph_is_released_before_the_next_forward(
+        stall_setup, monkeypatch, mode):
+    # a weakref to every step's encoder-state array; Tensor has no weakref
+    # slot, but its ndarray does. An older step's array still alive when the
+    # next forward starts means two graphs are held at once.
+    refs = []
+    alive_at_forward = []
+    real_states, real_losses = T.M.encoder_states, T._batch_losses
+
+    def recording_states(*args, **kw):
+        out = real_states(*args, **kw)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    def checking_losses(*args, **kw):
+        alive_at_forward.append(sum(r() is not None for r in refs))
+        return real_losses(*args, **kw)
+
+    monkeypatch.setattr(T.M, "encoder_states", recording_states)
+    monkeypatch.setattr(T, "_batch_losses", checking_losses)
+    res = _train(stall_setup, mode=mode, epochs=2)
+    assert res.steps >= 4 and len(refs) >= res.steps
+    assert alive_at_forward == [0] * res.steps
 
 
 def test_empty_example_list_rejected(stall_setup):
