@@ -302,10 +302,10 @@ def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
     out = a.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
 
     def vjp(g):
-        return (g.transpose(inverse),)
+        # the inverse permutation, computed only when a gradient flows
+        return (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),)
 
     return _make(out, (a,), vjp)
 

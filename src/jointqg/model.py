@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -496,9 +497,10 @@ def decoder_step(enc: EncoderOutput, prefix_ids, p: Parameters,
 # checkpoint container: zip of meta.json plus one float32 .npy per tensor.
 # Entries are stored uncompressed: float32 weights barely deflate (about 8%)
 # and inflating them dominated load time. The loader also reads deflated
-# entries, so both kinds of checkpoint load. It reads each entry once
-# (CRC-checked), checks the float32 payload in place and converts it once
-# to float64.
+# entries, so both kinds of checkpoint load. It streams each entry in fixed
+# chunks straight into the tensor's preallocated float64 array, so no copy
+# of an entry's raw bytes is held, and reads every entry to its end, where
+# the zip reader checks its CRC.
 
 CHECKPOINT_VERSION = "1"
 
@@ -542,24 +544,63 @@ def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
             zf.writestr(entry(f"tensors/{name}.npy"), buf.getvalue())
 
 
-def _npy_view(raw: bytes) -> np.ndarray:
-    """The array stored in one ``.npy`` entry, as a read-only view of its
-    bytes: no copy is made before the caller's one float64 conversion."""
-    fp = io.BytesIO(raw)
-    version = np.lib.format.read_magic(fp)
+_READ_CHUNK = 1 << 18  # bytes of a tensor entry read at a time
+
+
+def _drain(fh) -> None:
+    """Read a zip entry stream to its end, where the zip reader checks its CRC."""
+    while fh.read(_READ_CHUNK):
+        pass
+
+
+def _read_tensor(fh, shape: tuple, where: str) -> tuple[np.ndarray, bool]:
+    """The float64 tensor stored in one ``.npy`` entry stream, and whether
+    all its values are finite. Dtype and shape are checked from the header
+    before any payload is read, but a mismatch is raised only after the
+    stream has been read to its end, so a damaged entry fails its CRC first."""
+    version = np.lib.format.read_magic(fh)
     if version == (1, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fp)
+        stored, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
     elif version == (2, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(fp)
+        stored, fortran_order, dtype = np.lib.format.read_array_header_2_0(fh)
     else:
         raise ValueError(f"unsupported .npy format version {version}")
     if dtype.hasobject:
-        raise ValueError("object arrays are not allowed")
-    count = int(np.prod(shape, dtype=np.int64))
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=fp.tell())
+        problem = ValueError("object arrays are not allowed")
+    elif dtype != np.dtype("<f4"):
+        problem = SchemaError(f"{where} has dtype {dtype}, expected float32")
+    elif stored != shape:
+        problem = SchemaError(f"{where} has shape {stored}, expected {shape}")
+    else:
+        problem = None
+    if problem is not None:
+        _drain(fh)
+        raise problem
+    count = math.prod(shape)
+    out = np.empty(count)
+    finite = True
+    per_chunk = _READ_CHUNK // 4
+    for start in range(0, count, per_chunk):
+        n = min(per_chunk, count - start)
+        raw = fh.read(4 * n)
+        if len(raw) != 4 * n:
+            raise EOFError(f"payload ends after {4 * start + len(raw)} "
+                           f"of {4 * count} bytes")
+        chunk = np.frombuffer(raw, dtype="<f4")
+        finite = finite and bool(np.isfinite(chunk).all())
+        out[start:start + n] = chunk
+    _drain(fh)
     if fortran_order:
-        return arr.reshape(shape[::-1]).T
-    return arr.reshape(shape)
+        return out.reshape(shape[::-1]).T, finite
+    return out.reshape(shape), finite
+
+
+def _meta_value(meta: dict, key: str, kind: type):
+    value = meta[key]
+    # bool is an int subclass, so a recorded `true` would pass as 1
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{key} must be {kind.__name__}, not {value!r}")
+    return value
 
 
 def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Checkpoint:
@@ -574,7 +615,8 @@ def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Chec
             meta = json.loads(zf.read("meta.json"))
             cfg = ModelConfig.from_dict(meta["config"])
             names = list(meta["tensors"])
-            fields = (str(meta["vocab_sha256"]), int(meta["step"]), int(meta["seed"]),
+            fields = (_meta_value(meta, "vocab_sha256", str),
+                      _meta_value(meta, "step", int), _meta_value(meta, "seed", int),
                       meta.get("selector_k"))
         except (KeyError, ValueError, TypeError, zipfile.BadZipFile) as e:
             raise SchemaError(f"{path}: bad checkpoint metadata ({e})") from e
@@ -585,20 +627,19 @@ def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Chec
             raise SchemaError(f"{path}: tensor names do not match the stored config")
         tensors = {}
         for name in names:
+            where = f"{path}: tensor {name}"
             try:
-                arr = _npy_view(zf.read(f"tensors/{name}.npy"))
+                with zf.open(f"tensors/{name}.npy") as fh:
+                    data, finite = _read_tensor(fh, expected[name], where)
+            except SchemaError:
+                raise
             except (KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:
-                raise SchemaError(f"{path}: tensor {name} is missing or corrupt "
+                raise SchemaError(f"{where} is missing or corrupt "
                                   f"({type(e).__name__}: {e})") from e
-            if arr.dtype != np.dtype("<f4"):
-                raise SchemaError(f"{path}: tensor {name} has dtype {arr.dtype}, "
-                                  f"expected float32")
-            if arr.shape != expected[name]:
-                raise SchemaError(f"{path}: tensor {name} has shape {arr.shape}, "
-                                  f"expected {expected[name]}")
-            if not np.isfinite(arr).all():
-                raise SchemaError(f"{path}: tensor {name} holds non-finite values")
-            tensors[name] = Tensor(arr.astype(np.float64), requires_grad=True)
+            # only now: the CRC has passed, so a corrupt entry reads as corrupt
+            if not finite:
+                raise SchemaError(f"{where} holds non-finite values")
+            tensors[name] = Tensor(data, requires_grad=True)
     ckpt = Checkpoint(Parameters(tensors), cfg, *fields)
     if expected_vocab is not None and expected_vocab.sha256() != ckpt.vocab_sha256:
         raise VocabMismatchError(

@@ -1,4 +1,6 @@
 """Reverse-mode autodiff: every op against central finite differences."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,16 @@ def test_mean_axis_grad():
 def test_reshape_transpose_grad():
     _check(lambda a: ad.reshape(a, (6,)), [(2, 3)], seed=17)
     _check(lambda a: ad.transpose(a, (1, 2, 0)), [(2, 3, 4)], seed=18)
+
+
+@pytest.mark.parametrize("axes", list(itertools.permutations(range(4))),
+                         ids=lambda axes: "".join(map(str, axes)))
+def test_transpose_grad_is_the_inverse_permutation(axes):
+    a = ad.Tensor(np.arange(120.0).reshape(2, 3, 4, 5), requires_grad=True)
+    out = ad.transpose(a, axes)
+    seed = np.random.default_rng(0).normal(size=out.shape)
+    ad.backward(out, seed)
+    assert np.array_equal(a.grad, seed.transpose(np.argsort(axes)))
 
 
 def test_getitem_slice_grad():

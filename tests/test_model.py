@@ -800,3 +800,122 @@ def test_checkpoint_version_gate(tmp_path, tiny_params, tiny_model_cfg,
     _tampered_copy(src, bad, replace=("meta.json", _json.dumps(meta).encode()))
     with pytest.raises(SchemaError, match="version"):
         M.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key, value", [
+    *((key, value) for key in ("step", "seed") for value in (True, 2.7, "3")),
+    ("vocab_sha256", 123), ("vocab_sha256", None)])
+def test_checkpoint_mistyped_metadata_rejected(tmp_path, tiny_params, tiny_model_cfg,
+                                               tiny_vocab, key, value):
+    import json as _json
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab, step=4, seed=5)
+    with zipfile.ZipFile(src) as zf:
+        meta = _json.loads(zf.read("meta.json"))
+    meta[key] = value
+    bad = str(tmp_path / "bad.ckpt")
+    _tampered_copy(src, bad, replace=("meta.json", _json.dumps(meta).encode()))
+    with pytest.raises(SchemaError, match=rf"bad\.ckpt: bad checkpoint metadata \({key} "):
+        M.load_checkpoint(bad)
+
+
+def _wide_checkpoint(tmp_path, tiny_vocab, vocab_size):
+    """A checkpoint whose tok_emb and out.w entries span several read chunks."""
+    cfg = small_model_cfg(vocab_size)
+    path = tmp_path / "wide.ckpt"
+    M.save_checkpoint(str(path), M.Parameters.init(cfg, seed=2), cfg, tiny_vocab)
+    return path
+
+
+def _deflated_copy(src, dst):
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for item in zin.infolist():
+            data = zin.read(item.filename)
+            item.compress_type = zipfile.ZIP_DEFLATED
+            zout.writestr(item, data)
+
+
+@pytest.mark.parametrize("deflate", [False, True], ids=["stored", "deflated"])
+def test_checkpoint_tensors_equal_whole_entry_reads(tmp_path, tiny_vocab, deflate):
+    # 5003 x 16 = 80048 values: one full read chunk and a partial one
+    wide = _wide_checkpoint(tmp_path, tiny_vocab, 5003)
+    with zipfile.ZipFile(wide) as zf:
+        out_w = np.load(io.BytesIO(zf.read("tensors/out.w.npy")))
+    # one entry written column-major, which the reader must lay out the same
+    path = str(tmp_path / "mixed.ckpt")
+    _tampered_copy(wide, path, replace=("tensors/out.w.npy",
+                                        _npy_bytes(np.asfortranarray(out_w))))
+    if deflate:
+        _deflated_copy(path, str(tmp_path / "deflated.ckpt"))
+        path = str(tmp_path / "deflated.ckpt")
+    ckpt = M.load_checkpoint(path)
+    with zipfile.ZipFile(path) as zf:
+        for name, t in ckpt.params.items():
+            want = np.load(io.BytesIO(zf.read(f"tensors/{name}.npy"))).astype(np.float64)
+            assert t.data.dtype == np.float64 and t.data.shape == want.shape
+            assert t.data.tobytes() == want.tobytes()
+
+
+def test_checkpoint_load_holds_no_copy_of_an_entry(tmp_path, tiny_vocab):
+    import tracemalloc
+    # tok_emb and out.w are 4 MB entries each, 8 MB once in float64
+    path = _wide_checkpoint(tmp_path, tiny_vocab, 1 << 16)
+    M.load_checkpoint(str(path))  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        ckpt = M.load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tensors = sum(t.data.nbytes for _, t in ckpt.params.items())
+    assert peak - tensors < 2 << 20, (peak, tensors)
+
+
+def test_checkpoint_corrupt_entry_with_a_nan_reads_as_corrupt(tmp_path, tiny_vocab):
+    path = _wide_checkpoint(tmp_path, tiny_vocab, 5003)
+    # the entry spans two read chunks, so the NaN is read before the CRC is checked
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("tensors/tok_emb.npy")
+    payload_at = info.file_size - 4 * 5003 * 16
+    raw = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    first = info.header_offset + 30 + name_len + extra_len + payload_at
+    # the first value becomes a NaN, and the entry no longer matches its CRC
+    raw[first:first + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SchemaError, match=r"tensor tok_emb is missing or corrupt"):
+        M.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("cut", [1, 4, "payload"])
+def test_checkpoint_truncated_payload_rejected(tmp_path, tiny_params, tiny_model_cfg,
+                                               tiny_vocab, cut):
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    arr = tiny_params["sel.w1"].data.astype("<f4")
+    entry = _npy_bytes(arr)
+    entry = entry[:-(arr.nbytes if cut == "payload" else cut)]
+    bad = str(tmp_path / "bad.ckpt")
+    _tampered_copy(src, bad, replace=("tensors/sel.w1.npy", entry))
+    with pytest.raises(SchemaError, match=r"bad\.ckpt: tensor sel\.w1 is missing or corrupt"):
+        M.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("was, now", [(b"'<f4'", b"'<f8'"), (b"(5003,", b"(5004,")],
+                         ids=["dtype", "shape"])
+def test_checkpoint_damaged_entry_header_reads_as_corrupt(tmp_path, tiny_vocab, was, now):
+    path = _wide_checkpoint(tmp_path, tiny_vocab, 5003)
+    # one header byte changed in place: the entry now fails its CRC, which
+    # must be reported rather than the dtype or shape the damaged header claims
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("tensors/tok_emb.npy")
+        entry = zf.read(info.filename)
+    head = entry[:entry.index(b"\n") + 1]
+    assert head.count(was) == 1
+    raw = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    at = info.header_offset + 30 + name_len + extra_len + head.index(was)
+    raw[at:at + len(was)] = now
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SchemaError, match=r"tensor tok_emb is missing or corrupt"):
+        M.load_checkpoint(str(path))
