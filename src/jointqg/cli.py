@@ -19,17 +19,20 @@ import sys
 from . import corpus as C
 from . import decoding as D
 from . import metrics as MX
-from . import model as M
 from .embedding import BackendSpec, create_backend
 from .harness import ExperimentConfig, compare_modes, run_pipeline, sweep_top_k
 from .labeler import label_examples, write_labels_jsonl
-from .tokenizer import Vocabulary, tokenize
+from .tokenizer import Vocabulary
+
+
+# ExperimentConfig.with_overrides keys, each the dest of one override flag
+_OVERRIDES = ("seed", "out_dir", "mode", "k", "lambda_weight", "beam_size", "backend")
 
 
 def _add_config_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory override")
+    p.add_argument("--out", dest="out_dir", default=None, help="output directory override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,20 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config)
-    overrides = {}
-    for key in ("seed", "k", "beam_size"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "mode", None):
-        overrides["mode"] = args.mode
-    if getattr(args, "lambda_weight", None) is not None:
-        overrides["lambda_weight"] = args.lambda_weight
-    if getattr(args, "backend", None):
-        overrides["backend"] = args.backend
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return ExperimentConfig.from_file(args.config).with_overrides(
+        **{key: getattr(args, key, None) for key in _OVERRIDES})
 
 
 def main(argv=None) -> int:
@@ -130,12 +121,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "generate":
-        vocab = Vocabulary.load(args.vocab)
-        ckpt = M.load_checkpoint(args.checkpoint, expected_vocab=vocab)
-        records = D.generate_predictions(
-            ckpt, C.read_corpus_jsonl(args.data), vocab, args.beam_size, args.max_len,
-            args.alpha, selector=D.load_selector_beside(args.checkpoint, vocab))
-        D.write_predictions_jsonl(records, args.out)
+        records = D.generate_file(args.checkpoint, C.read_corpus_jsonl(args.data),
+                                  Vocabulary.load(args.vocab), args.out,
+                                  args.beam_size, args.max_len, args.alpha)
         print(f"wrote {len(records)} predictions to {args.out}")
         return 0
 
@@ -144,9 +132,7 @@ def main(argv=None) -> int:
         if not records:
             print("no predictions to score", file=sys.stderr)
             return 1
-        cands = [tokenize(r["prediction"]) for r in records]
-        refs = [tokenize(r["gold"]) for r in records]
-        report = MX.score_corpus(cands, refs, ids=[str(r["id"]) for r in records])
+        report = MX.score_predictions(records)
         MX.write_report_json(report, args.out)
         print(json.dumps(report.summary(), indent=1))
         return 0

@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import AlignmentError, EmptyDatasetError, SchemaError
-from .fileio import write_atomic
+from .fileio import read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -300,22 +300,16 @@ def example_from_record(rec: dict) -> QAExample:
 
 def write_corpus_jsonl(examples: list[QAExample], path: str) -> None:
     """One JSON object per line; inverse of read_corpus_jsonl."""
-    write_atomic(path, "".join(json.dumps(example_to_record(ex), ensure_ascii=False) + "\n"
-                               for ex in examples))
+    write_jsonl(path, (example_to_record(ex) for ex in examples))
 
 
 def read_corpus_jsonl(path: str) -> list[QAExample]:
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{ln}: not valid JSON") from e
+    for ln, rec in read_jsonl(path):
+        try:
             examples.append(example_from_record(rec))
+        except ValueError as e:
+            raise SchemaError(f"{path}:{ln}: {e}") from e
     if not examples:
         raise EmptyDatasetError(f"{path}: no records")
     return examples

@@ -15,7 +15,6 @@ greedy path.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -24,13 +23,14 @@ import numpy as np
 from . import training as T
 from .corpus import QAExample
 from .errors import NumericError, SchemaError
-from .fileio import write_atomic
+from .fileio import read_jsonl, write_jsonl
 from .model import Checkpoint, DecoderSession, encoder_forward, load_checkpoint
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, ModelInput, Vocabulary, assemble_model_input
 
 _SUPPRESSED = (PAD_ID, BOS_ID)
 
 SELECTOR_CHECKPOINT = "selector.ckpt"  # two_step selector, beside model.ckpt
+PREDICTION_FIELDS = ("id", "prediction", "gold", "beam_size", "score")
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,9 @@ def beam_search_nbest(scorer, beam_size: int, max_len: int = 32,
 
 def decode_example(ckpt: Checkpoint, model_input: ModelInput, beam_size: int = 1,
                    max_len: int = 32, length_alpha: float = 0.7) -> list[int]:
-    """Encode one input and decode it; beam_size=1 uses the greedy path."""
-    scorer = make_scorer(ckpt, model_input)
-    if beam_size == 1 and length_alpha == 0.0:
-        return greedy_decode(scorer, max_len)
-    return list(beam_search_nbest(scorer, beam_size, max_len, length_alpha)[0].ids)
+    """Encode one input and decode it with beam search."""
+    return beam_search_decode(make_scorer(ckpt, model_input), beam_size, max_len,
+                              length_alpha)
 
 
 def load_selector_beside(ckpt_path: str, vocab: Vocabulary) -> Checkpoint | None:
@@ -145,9 +143,7 @@ def load_selector_beside(ckpt_path: str, vocab: Vocabulary) -> Checkpoint | None
     if not os.path.exists(path):
         return None
     selector = load_checkpoint(path, expected_vocab=vocab)
-    k = selector.selector_k
-    # bool is an int subclass, so a recorded `true` would pass as k=1
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if selector.selector_k is None or selector.selector_k < 1:
         raise SchemaError(f"{path}: selector checkpoint does not record a positive k")
     return selector
 
@@ -157,9 +153,8 @@ def generate_predictions(ckpt: Checkpoint, examples: list[QAExample],
                          length_alpha: float = 0.7,
                          selector: Checkpoint | None = None) -> list[dict]:
     """Decode each example into an {id, prediction, gold, beam_size, score}
-    record; the one generation path of the pipeline and ``jointqg generate``.
-    A selector first cuts each context to the sentences it keeps, by the
-    rule two_step stage 2 trained on."""
+    record. A selector first cuts each context to the sentences it keeps,
+    by the rule two_step stage 2 trained on."""
     inputs = [assemble_model_input(ex, vocab, ckpt.config.max_len) for ex in examples]
     if selector is not None:
         probs = T.selector_predictions(inputs, selector.params, selector.config)
@@ -178,23 +173,31 @@ def generate_predictions(ckpt: Checkpoint, examples: list[QAExample],
     return records
 
 
+def generate_file(ckpt_path: str, examples: list[QAExample], vocab: Vocabulary,
+                  out_path: str, beam_size: int = 1, max_len: int = 32,
+                  length_alpha: float = 0.7) -> list[dict]:
+    """The generate stage of run_pipeline and ``jointqg generate``: decode with
+    the checkpoint and any selector.ckpt beside it, and write the records."""
+    ckpt = load_checkpoint(ckpt_path, expected_vocab=vocab)
+    records = generate_predictions(ckpt, examples, vocab, beam_size, max_len,
+                                   length_alpha,
+                                   selector=load_selector_beside(ckpt_path, vocab))
+    write_predictions_jsonl(records, out_path)
+    return records
+
+
+def _checked_prediction(rec, where: str = "") -> dict:
+    missing = [f for f in PREDICTION_FIELDS if not isinstance(rec, dict) or f not in rec]
+    if missing:
+        raise SchemaError(f"{where}prediction record missing {missing}")
+    return rec
+
+
 def write_predictions_jsonl(records: list[dict], path: str) -> None:
-    """One object per line: id, prediction, gold, beam_size, score. Every
-    record is checked and serialised before anything is written, so a bad
-    record leaves no partial file behind."""
-    required = {"id", "prediction", "gold", "beam_size", "score"}
-    for rec in records:
-        missing = required - rec.keys()
-        if missing:
-            raise ValueError(f"prediction record missing {sorted(missing)}")
-    write_atomic(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
+    """One object per line with every PREDICTION_FIELDS key; a bad record
+    fails before anything is written, so it leaves no partial file."""
+    write_jsonl(path, [_checked_prediction(rec) for rec in records])
 
 
 def read_predictions_jsonl(path: str) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    return [_checked_prediction(rec, f"{path}:{ln}: ") for ln, rec in read_jsonl(path)]

@@ -110,9 +110,12 @@ class PrecomputedBackend(_MeanPooled):
                     raise SchemaError(
                         f"{path}:{ln}: expected token plus {dim} values, got {len(values)}")
                 try:
-                    table[token] = np.asarray([float(x) for x in values])
+                    vec = np.asarray([float(x) for x in values])
                 except ValueError as e:
                     raise SchemaError(f"{path}:{ln}: non-numeric vector value") from e
+                if not np.isfinite(vec).all():
+                    raise SchemaError(f"{path}:{ln}: non-finite vector value")
+                table[token] = vec
         if not table:
             raise SchemaError(f"{path}: no vectors")
         self.dim = dim

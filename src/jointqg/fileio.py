@@ -1,8 +1,12 @@
-"""Whole-or-absent file writes for run artifacts."""
+"""Whole-or-absent file writes for run artifacts, and the JSONL codec."""
 from __future__ import annotations
 
+import json
 import os
+from collections.abc import Iterator
 from contextlib import contextmanager
+
+from .errors import SchemaError
 
 
 @contextmanager
@@ -28,3 +32,22 @@ def write_atomic(path: str, data: str | bytes) -> None:
     be serialised fails before anything touches the disk."""
     with atomic_file(path) as fh:
         fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+def write_jsonl(path: str, records) -> None:
+    """One JSON object per line, written through ``write_atomic``."""
+    write_atomic(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n"
+                               for rec in records))
+
+
+def read_jsonl(path: str) -> Iterator[tuple[int, object]]:
+    """Yields (line number, value) for each non-blank line; a line that is
+    not JSON raises SchemaError naming ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                yield ln, json.loads(line)
+            except json.JSONDecodeError as e:
+                raise SchemaError(f"{path}:{ln}: not valid JSON ({e})") from e

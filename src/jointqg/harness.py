@@ -28,13 +28,14 @@ from . import metrics as MX
 from . import model as M
 from . import training as T
 from .embedding import BackendSpec, create_backend
-from .errors import StageError
+from .errors import SchemaError, StageError
 from .fileio import write_atomic
 from .labeler import label_examples, question_type_of, write_labels_jsonl
-from .tokenizer import Vocabulary, tokenize
+from .tokenizer import Vocabulary
 
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"vocab_size"}
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(T.TrainConfig)}
+# seed and k are set once, at the top level, for every stage
+_TRAIN_FIELDS = {f.name for f in dataclasses.fields(T.TrainConfig)} - {"seed", "k"}
 
 
 @dataclass
@@ -67,23 +68,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
+        """Bad content raises SchemaError naming the file."""
         with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            try:
+                payload = json.load(fh)
+                if not isinstance(payload, dict):
+                    raise TypeError("expected a JSON object")
+                unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
+                if unknown:
+                    raise TypeError(f"unknown fields: {sorted(unknown)}")
+                return cls(**payload)
+            except (TypeError, ValueError) as e:
+                raise SchemaError(f"{path}: {e}") from e
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
         """Copy with non-None overrides applied; mode/lambda reach train."""
-        out = dataclasses.replace(self)
-        out.model = dict(self.model)
-        out.train = dict(self.train)
+        out = dataclasses.replace(self, model=dict(self.model), train=dict(self.train))
         for key, value in kw.items():
             if value is None:
                 continue
             if key in ("mode", "lambda_weight"):
                 out.train[key] = value
             elif key == "backend":
-                out.backend = BackendSpec(kind=value, dim=self.backend.dim,
-                                          seed=self.backend.seed,
-                                          source=self.backend.source)
+                out.backend = dataclasses.replace(self.backend, kind=value)
             elif hasattr(out, key):
                 setattr(out, key, value)
             else:
@@ -91,10 +98,7 @@ class ExperimentConfig:
         return out
 
     def train_config(self) -> T.TrainConfig:
-        kw = dict(self.train)
-        kw.setdefault("seed", self.seed)
-        kw.setdefault("k", self.k)
-        cfg = T.TrainConfig(**kw)
+        cfg = T.TrainConfig(**self.train, seed=self.seed, k=self.k)
         cfg.validate()
         return cfg
 
@@ -233,16 +237,12 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
                                   selector_k=train_cfg.k)
 
         with _stage("generate"):
-            ckpt = M.load_checkpoint(ckpt_path, expected_vocab=vocab)
-            records = D.generate_predictions(
-                ckpt, eval_examples, vocab, cfg.beam_size, cfg.max_decode_len,
-                cfg.length_alpha, selector=D.load_selector_beside(ckpt_path, vocab))
-            D.write_predictions_jsonl(records, os.path.join(run_dir, "predictions.jsonl"))
+            records = D.generate_file(ckpt_path, eval_examples, vocab,
+                                      os.path.join(run_dir, "predictions.jsonl"),
+                                      cfg.beam_size, cfg.max_decode_len, cfg.length_alpha)
 
         with _stage("evaluate"):
-            cands = [tokenize(r["prediction"]) for r in records]
-            refs = [tokenize(r["gold"]) for r in records]
-            report = MX.score_corpus(cands, refs, ids=[r["id"] for r in records])
+            report = MX.score_predictions(records)
             MX.write_report_json(report, os.path.join(run_dir, "report.json"), extra={
                 "config": cfg.resolved(),
                 "config_hash": cfg.config_hash(),

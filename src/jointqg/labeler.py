@@ -7,13 +7,12 @@ selector head during training.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .corpus import QAExample
 from .embedding import cosine_similarity, embed_tokens
 from .errors import SchemaError
-from .fileio import write_atomic
+from .fileio import read_jsonl, write_jsonl
 from .tokenizer import tokenize
 
 QUESTION_TYPES = ("what", "who", "when", "where", "why", "how", "which", "other")
@@ -100,37 +99,27 @@ def write_labels_jsonl(examples: list[QAExample],
     """One record per example: id, relevance labels, scores, k, qtype."""
     if len(examples) != len(labels):
         raise ValueError("examples and labels must align")
-    lines = []
-    for ex, lab in zip(examples, labels):
-        rec = {
-            "id": ex.document.id,
-            "relevance": list(lab.labels),
-            "scores": [float(s) for s in lab.scores],
-            "k": lab.k,
-            "qtype": question_type_of(ex.document.question),
-        }
-        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
-    write_atomic(path, "".join(lines))
+    write_jsonl(path, ({"id": ex.document.id,
+                        "relevance": list(lab.labels),
+                        "scores": [float(s) for s in lab.scores],
+                        "k": lab.k,
+                        "qtype": question_type_of(ex.document.question)}
+                       for ex, lab in zip(examples, labels)))
 
 
 def read_labels_jsonl(path: str) -> dict[str, dict]:
     """Map example id to its stored label record."""
     records: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                records[str(rec["id"])] = {
-                    "labels": RelevanceLabels(tuple(int(x) for x in rec["relevance"]),
-                                              tuple(float(x) for x in rec["scores"]),
-                                              int(rec["k"])),
-                    "qtype": str(rec["qtype"]),
-                }
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise SchemaError(f"{path}:{ln}: bad label record ({e})") from e
+    for ln, rec in read_jsonl(path):
+        try:
+            records[str(rec["id"])] = {
+                "labels": RelevanceLabels(tuple(int(x) for x in rec["relevance"]),
+                                          tuple(float(x) for x in rec["scores"]),
+                                          int(rec["k"])),
+                "qtype": str(rec["qtype"]),
+            }
+        except (KeyError, TypeError, ValueError) as e:
+            raise SchemaError(f"{path}:{ln}: bad label record ({e})") from e
     if not records:
         raise SchemaError(f"{path}: no label records")
     return records

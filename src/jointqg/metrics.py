@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .fileio import write_atomic
+from .tokenizer import tokenize
 
 ROUGE_BETA = 1.2
 _STEM_SUFFIXES = ("ing", "ed", "es", "ly", "s")
@@ -185,6 +186,13 @@ def score_corpus(candidates: list[list[str]], references: list[list[str]],
         n_examples=n,
         per_example=per,
     )
+
+
+def score_predictions(records: list[dict]) -> MetricReport:
+    """The evaluate stage of run_pipeline and ``jointqg evaluate``."""
+    return score_corpus([tokenize(r["prediction"]) for r in records],
+                        [tokenize(r["gold"]) for r in records],
+                        ids=[str(r["id"]) for r in records])
 
 
 def write_report_json(report: MetricReport, path: str, extra: dict | None = None) -> None:

@@ -221,11 +221,6 @@ def _attend(q_in: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     return ctx @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
 
 
-def _attention(q_in: Tensor, kv_in: Tensor, bias: np.ndarray | None,
-               p: Parameters, prefix: str, heads: int) -> Tensor:
-    return _attend(q_in, *_attention_kv(kv_in, p, prefix, heads), bias, p, prefix, heads)
-
-
 def _ffn(x: Tensor, p: Parameters, prefix: str) -> Tensor:
     return ad.relu(x @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"]) @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
 
@@ -253,7 +248,8 @@ def encoder_states(token_ids: np.ndarray, nonpad: np.ndarray, p: Parameters,
     bias = key_padding_bias(nonpad)
     for i in range(cfg.encoder_layers):
         h = _layer_norm(x, p, f"enc{i}.ln1")
-        x = x + _dropout(_attention(h, h, bias, p, f"enc{i}.attn", cfg.attention_heads),
+        k, v = _attention_kv(h, p, f"enc{i}.attn", cfg.attention_heads)
+        x = x + _dropout(_attend(h, k, v, bias, p, f"enc{i}.attn", cfg.attention_heads),
                          cfg.dropout, train, rng)
         x = x + _dropout(_ffn(_layer_norm(x, p, f"enc{i}.ln2"), p, f"enc{i}.ff"),
                          cfg.dropout, train, rng)
@@ -606,9 +602,7 @@ def _meta_value(meta: dict, key: str, kind: type):
 def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Checkpoint:
     try:
         zf = zipfile.ZipFile(path)
-    except (OSError, zipfile.BadZipFile) as e:
-        if isinstance(e, OSError) and not isinstance(e, zipfile.BadZipFile):
-            raise
+    except zipfile.BadZipFile as e:
         raise SchemaError(f"{path}: not a checkpoint container ({e})") from e
     with zf:
         try:
@@ -617,7 +611,7 @@ def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Chec
             names = list(meta["tensors"])
             fields = (_meta_value(meta, "vocab_sha256", str),
                       _meta_value(meta, "step", int), _meta_value(meta, "seed", int),
-                      meta.get("selector_k"))
+                      _meta_value(meta, "selector_k", int) if "selector_k" in meta else None)
         except (KeyError, ValueError, TypeError, zipfile.BadZipFile) as e:
             raise SchemaError(f"{path}: bad checkpoint metadata ({e})") from e
         if meta.get("version") != CHECKPOINT_VERSION:

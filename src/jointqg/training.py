@@ -27,7 +27,7 @@ from . import model as M
 from .autodiff import Tensor
 from .corpus import QAExample
 from .errors import InputTooLongError, NumericError
-from .labeler import QUESTION_TYPES, RelevanceLabels, question_type_index
+from .labeler import QUESTION_TYPES, RelevanceLabels, question_type_index, rank_sentences
 from .tokenizer import (BOS_ID, EOS_ID, PAD_ID, ModelInput, Vocabulary,
                         assemble_model_input, pad_batch)
 
@@ -356,8 +356,7 @@ def selector_keep_indices(probs: np.ndarray, kept_sentences: list[int], k: int) 
     pass, fall back to the top-k by probability."""
     chosen = [i for i, p in enumerate(probs) if p > 0.5]
     if not chosen:
-        order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
-        chosen = sorted(order[:min(k, len(order))])
+        chosen = sorted(rank_sentences(probs)[:k])
     return [kept_sentences[i] for i in chosen]
 
 

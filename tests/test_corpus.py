@@ -214,3 +214,17 @@ def test_corpus_jsonl_round_trip(tmp_path, tiny_examples):
         rec = json.loads(fh.readline())
     assert set(rec) == {"id", "context", "question", "answer_text",
                         "answer_start", "sentences", "answer_sentence"}
+
+
+def test_corpus_jsonl_bad_lines_name_path_and_line(tmp_path, tiny_examples):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(tiny_examples[:1], str(path))
+    good = path.read_text()
+    path.write_text(good + "\n{not json\n")
+    with pytest.raises(SchemaError, match=r"corpus.jsonl:3: not valid JSON"):
+        read_corpus_jsonl(str(path))
+    rec = json.loads(good)
+    del rec["question"]
+    path.write_text(good + json.dumps(rec) + "\n")
+    with pytest.raises(SchemaError, match=r"corpus.jsonl:2: bad corpus record"):
+        read_corpus_jsonl(str(path))

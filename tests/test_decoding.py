@@ -13,7 +13,7 @@ from jointqg.decoding import (
     read_predictions_jsonl,
     write_predictions_jsonl,
 )
-from jointqg.errors import NumericError
+from jointqg.errors import NumericError, SchemaError
 from jointqg.tokenizer import assemble_model_input
 from conftest import rng_scorer
 from oracles import beam_nbest_tuple_sort, best_decode_oracle, enumerate_decodes
@@ -312,6 +312,22 @@ def test_predictions_jsonl_round_trip(tmp_path):
     path = tmp_path / "pred.jsonl"
     write_predictions_jsonl(records, str(path))
     assert read_predictions_jsonl(str(path)) == records
+
+
+@pytest.mark.parametrize("line,match", [
+    pytest.param("{oops", "not valid JSON", id="not-json"),
+    pytest.param("[1, 2]", r"missing \['id', 'prediction'", id="list"),
+    pytest.param('{"id": "b", "prediction": "x", "gold": "y", "beam_size": 1}',
+                 r"missing \['score'\]", id="missing-key"),
+])
+def test_predictions_jsonl_bad_line_rejected(tmp_path, line, match):
+    path = tmp_path / "pred.jsonl"
+    write_predictions_jsonl([{"id": "a", "prediction": "x", "gold": "y",
+                              "beam_size": 1, "score": -1.0}], str(path))
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(SchemaError, match="pred.jsonl:2: ") as info:
+        read_predictions_jsonl(str(path))
+    assert info.match(match)
 
 
 def test_predictions_jsonl_missing_key_rejected(tmp_path):

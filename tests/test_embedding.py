@@ -86,6 +86,15 @@ def test_precomputed_rejects_wrong_width(tmp_path):
         PrecomputedBackend(str(p))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_precomputed_rejects_non_finite_values(tmp_path, value):
+    # a NaN cosine would rank sentences arbitrarily without any error
+    p = tmp_path / "bad.tsv"
+    p.write_text(f"dim 2\na\t1 0\nb\t{value} 1\n")
+    with pytest.raises(SchemaError, match="bad.tsv:3: non-finite"):
+        PrecomputedBackend(str(p))
+
+
 def test_precomputed_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         PrecomputedBackend(str(tmp_path / "absent.tsv"))

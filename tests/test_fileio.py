@@ -7,7 +7,8 @@ import pytest
 
 from jointqg import harness as H
 from jointqg.corpus import write_corpus_jsonl
-from jointqg.fileio import write_atomic
+from jointqg.errors import SchemaError
+from jointqg.fileio import read_jsonl, write_atomic, write_jsonl
 from jointqg.labeler import RelevanceLabels, write_labels_jsonl
 from jointqg.metrics import score_corpus, write_report_json
 
@@ -19,6 +20,17 @@ def test_write_atomic_writes_text_as_utf8_and_bytes_as_given(tmp_path):
     write_atomic(str(path), b"\x00\x01")
     assert path.read_bytes() == b"\x00\x01"
     assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_jsonl_round_trip_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_jsonl(str(path), [{"q": "één"}, [1, 2]])
+    assert path.read_text(encoding="utf-8") == '{"q": "één"}\n[1, 2]\n'
+    path.write_text(path.read_text(encoding="utf-8") + "\n  \n7\n", encoding="utf-8")
+    assert list(read_jsonl(str(path))) == [(1, {"q": "één"}), (2, [1, 2]), (5, 7)]
+    path.write_text('{"q": 1}\n{"q":\n', encoding="utf-8")
+    with pytest.raises(SchemaError, match="a.jsonl:2: not valid JSON"):
+        list(read_jsonl(str(path)))
 
 
 def test_write_atomic_failed_rename_leaves_no_temp_file(tmp_path):

@@ -199,10 +199,16 @@ def test_rerun_is_byte_identical(pipeline_run):
 
 # ------------------------------------------------------------- other modes
 
-def test_two_step_writes_selector_checkpoint(tmp_path, pipeline_run):
-    cfg = make_cfg(tmp_path, pipeline_run["data"], mode="two_step")
-    report, run_dir = H.run_pipeline(cfg)
-    run_dir = pathlib.Path(run_dir)
+@pytest.fixture(scope="module")
+def two_step_run(tmp_path_factory, pipeline_run):
+    cfg = make_cfg(tmp_path_factory.mktemp("two_step"), pipeline_run["data"],
+                   mode="two_step")
+    _, run_dir = H.run_pipeline(cfg)
+    return cfg, pathlib.Path(run_dir)
+
+
+def test_two_step_writes_selector_checkpoint(two_step_run):
+    _, run_dir = two_step_run
     assert (run_dir / "selector.ckpt").is_file()
     vocab = Vocabulary.load(str(run_dir / "vocab.txt"))
     sel = M.load_checkpoint(str(run_dir / "selector.ckpt"), expected_vocab=vocab)
@@ -214,12 +220,10 @@ def test_two_step_writes_selector_checkpoint(tmp_path, pipeline_run):
     assert 0.0 <= payload["selector_f1"] <= 1.0
 
 
-def test_cli_generate_reproduces_two_step_predictions(tmp_path, pipeline_run):
+def test_cli_generate_reproduces_two_step_predictions(tmp_path, two_step_run):
     # the CLI must decode the contexts the run's selector kept, exactly as
     # the pipeline's generate stage did
-    cfg = make_cfg(tmp_path, pipeline_run["data"], mode="two_step")
-    _, run_dir = H.run_pipeline(cfg)
-    run_dir = pathlib.Path(run_dir)
+    cfg, run_dir = two_step_run
     vocab = Vocabulary.load(str(run_dir / "vocab.txt"))
     sel = M.load_checkpoint(str(run_dir / "selector.ckpt"), expected_vocab=vocab)
     assert sel.selector_k == cfg.k
@@ -231,6 +235,29 @@ def test_cli_generate_reproduces_two_step_predictions(tmp_path, pipeline_run):
                      "--max-len", str(cfg.max_decode_len),
                      "--alpha", str(cfg.length_alpha)]) == 0
     assert out.read_bytes() == (run_dir / "predictions.jsonl").read_bytes()
+
+
+def test_cli_evaluate_reproduces_two_step_report(tmp_path, two_step_run, capsys):
+    _, run_dir = two_step_run
+    out = tmp_path / "report.json"
+    assert cli_main(["evaluate", str(run_dir / "predictions.jsonl"),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = json.loads(out.read_text())
+    want = json.loads((run_dir / "report.json").read_text())
+    for key in ("bleu4", "rouge_l", "meteor_lite", "n_examples", "per_example"):
+        assert got[key] == want[key], key
+
+
+def test_cli_evaluate_rejects_record_missing_a_key(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps({"id": "a", "prediction": "x", "gold": "y",
+                                "beam_size": 1, "score": -1.0}) + "\n"
+                    + json.dumps({"id": "b", "prediction": "x", "beam_size": 1,
+                                  "score": -1.0}) + "\n")
+    with pytest.raises(SchemaError, match=r"preds.jsonl:2: .*'gold'"):
+        cli_main(["evaluate", str(path), "--out", str(tmp_path / "r.json")])
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("selector_k", [None, 0])
@@ -387,6 +414,9 @@ def test_config_backend_dict_coerced():
     ("model", {"hidden_size": 4}),
     ("model", {"vocab_size": 9}),  # derived from the corpus, never configured
     ("train", {"optimizer": "sgd"}),
+    # seed and k are top-level only, so no stage can see a second value
+    ("train", {"k": 2}),
+    ("train", {"seed": 1}),
 ])
 def test_config_rejects_unknown_fields(field, payload):
     with pytest.raises(ValueError, match="unknown"):
@@ -431,6 +461,23 @@ def test_resolved_fills_every_default():
     assert full["train"]["k"] == 4  # top-level k reaches the train config
     assert full["backend"] == {"kind": "bag_mean", "dim": 256,
                                "seed": 0, "source": None}
+
+
+@pytest.mark.parametrize("body,match", [
+    pytest.param("{not json", "line 1 column 2", id="not-json"),
+    pytest.param("[1, 2]", "expected a JSON object", id="list"),
+    pytest.param(json.dumps({"train_data": "a", "out_dir": "b", "sead": 1, "kk": 2}),
+                 r"unknown fields: \['kk', 'sead'\]", id="unknown-keys"),
+    pytest.param(json.dumps({"train_data": "a", "out_dir": "b", "train": {"k": 2}}),
+                 "unknown train fields", id="train-k"),
+    pytest.param(json.dumps({"out_dir": "b"}), "train_data", id="missing-key"),
+])
+def test_config_from_file_errors_name_the_file(tmp_path, body, match):
+    path = tmp_path / "exp.json"
+    path.write_text(body)
+    with pytest.raises(SchemaError, match="exp.json") as info:
+        H.ExperimentConfig.from_file(str(path))
+    assert info.match(match)
 
 
 def test_config_from_file_round_trip(tmp_path, pipeline_run):

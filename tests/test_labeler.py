@@ -195,6 +195,14 @@ def test_labels_jsonl_bad_record(tmp_path):
         read_labels_jsonl(str(path))
 
 
+def test_labels_jsonl_non_json_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"id": "a", "relevance": [1], "scores": [0.5],
+                                "k": 1, "qtype": "what"}) + "\n[1,\n")
+    with pytest.raises(SchemaError, match="bad.jsonl:2: not valid JSON"):
+        read_labels_jsonl(str(path))
+
+
 def test_labels_jsonl_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
