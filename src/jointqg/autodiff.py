@@ -1,12 +1,18 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Every differentiable operation returns a Tensor holding its parents and a
-vector-Jacobian callback; backward() walks the graph once in reverse
-topological order and accumulates gradients into leaf tensors. A VJP
-returns None for an operand that needs no gradient (a constant such as a
-mask or a scale), so no arithmetic is spent on it. All computation runs
-in float64. The op set is exactly what the encoder, decoder, heads and
-losses in this package need.
+A differentiable operation on a tensor that requires grad returns a Tensor
+whose graph node holds only its parents' nodes and a vector-Jacobian
+callback; a leaf Tensor is its own node. The callback keeps just the
+arrays its rule reads (an operand only when the other side needs a
+gradient, the output of exp and sigmoid, the input of log and power, a
+mask for relu and clip, shapes for the rest), never a Tensor, so an
+intermediate value is freed as soon as the code that made it moves on.
+backward() walks the nodes once in reverse topological order and
+accumulates gradients into leaf tensors. A VJP returns None for an operand
+that needs no gradient (a constant such as a mask or a scale), so no
+arithmetic is spent on it. Under no_grad, or with only constant operands,
+an op records nothing. All computation runs in float64. The op set is
+exactly what the encoder, decoder, heads and losses in this package need.
 """
 from __future__ import annotations
 
@@ -31,15 +37,35 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED[-1]
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+class _Node:
+    """The graph record of one op result: its parents' nodes and its VJP."""
+    __slots__ = ("_parents", "_vjp")
+    requires_grad = True
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
+    def __init__(self, parents: tuple, vjp):
+        self._parents = parents
+        self._vjp = vjp
+
+
+class _Constant:
+    """The node of every operand that needs no gradient."""
+    __slots__ = ()
+    requires_grad = False
+    _parents = ()
+    _vjp = None
+
+
+_CONSTANT = _Constant()
+
+
+class Tensor:
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._vjp = _vjp
+        self._node: _Node | None = None
 
     @property
     def shape(self):
@@ -48,6 +74,18 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp) -> None:
+        self._node._vjp = vjp
 
     def item(self) -> float:
         return float(self.data)
@@ -123,113 +161,161 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _make(data: np.ndarray, parents: tuple, vjp) -> Tensor:
-    if grad_enabled() and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp)
-    return Tensor(data)
+def _tracked(*operands: Tensor) -> bool:
+    """Whether an op on these operands records a graph node."""
+    return _GRAD_ENABLED[-1] and any(t.requires_grad for t in operands)
+
+
+def _node_of(t: Tensor):
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else _CONSTANT
+
+
+def _record(out: Tensor, operands: tuple, vjp) -> None:
+    """Make out an op result that tracks a gradient through vjp."""
+    out.requires_grad = True
+    out._node = _Node(tuple(_node_of(t) for t in operands), vjp)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
+    out = Tensor(a.data + b.data)
+    if _tracked(a, b):
+        need_a, need_b = a.requires_grad, b.requires_grad
+        a_shape, b_shape = a.shape, b.shape
 
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        def vjp(g):
+            return (_unbroadcast(g, a_shape) if need_a else None,
+                    _unbroadcast(g, b_shape) if need_b else None)
 
-    return _make(out, (a, b), vjp)
+        _record(out, (a, b), vjp)
+    return out
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    out = Tensor(a.data * b.data)
+    if _tracked(a, b):
+        need_a, need_b = a.requires_grad, b.requires_grad
+        a_shape, b_shape = a.shape, b.shape
+        # each side's gradient reads only the other side's value
+        a_data = a.data if need_b else None
+        b_data = b.data if need_a else None
 
-    def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+        def vjp(g):
+            return (_unbroadcast(g * b_data, a_shape) if need_a else None,
+                    _unbroadcast(g * a_data, b_shape) if need_b else None)
 
-    return _make(out, (a, b), vjp)
+        _record(out, (a, b), vjp)
+    return out
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
+    out = Tensor(a.data / b.data)
+    if _tracked(a, b):
+        need_a, need_b = a.requires_grad, b.requires_grad
+        a_shape, b_shape = a.shape, b.shape
+        a_data = a.data if need_b else None
+        b_data = b.data
 
-    def vjp(g):
-        return (_unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-                if b.requires_grad else None)
+        def vjp(g):
+            return (_unbroadcast(g / b_data, a_shape) if need_a else None,
+                    _unbroadcast(-g * a_data / (b_data * b_data), b_shape)
+                    if need_b else None)
 
-    return _make(out, (a, b), vjp)
+        _record(out, (a, b), vjp)
+    return out
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data @ b.data
+    out = Tensor(a.data @ b.data)
+    if _tracked(a, b):
+        need_a, need_b = a.requires_grad, b.requires_grad
+        a_shape, b_shape = a.shape, b.shape
+        a_data = a.data if need_b else None
+        b_data = b.data if need_a else None
 
-    def vjp(g):
-        if b.data.ndim == 2 and a.data.ndim > 2:
-            # a batched projection: fold the batch dims into the rows so the
-            # weight gradient is one (d, N) @ (N, e) GEMM, not B products
-            # summed over a (B, d, e) temporary
-            d, e = b.data.shape
-            g2 = np.asarray(g).reshape(-1, e)
-            return ((g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None,
-                    a.data.reshape(-1, d).T @ g2 if b.requires_grad else None)
-        # promote 1-D operands to matrices, mirroring numpy @ semantics
-        a_mat = a.data if a.data.ndim > 1 else a.data.reshape(1, -1)
-        b_mat = b.data if b.data.ndim > 1 else b.data.reshape(-1, 1)
-        batch = np.broadcast_shapes(a_mat.shape[:-2], b_mat.shape[:-2])
-        gg = np.asarray(g).reshape(batch + (a_mat.shape[-2], b_mat.shape[-1]))
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(gg @ np.swapaxes(b_mat, -1, -2), a_mat.shape).reshape(a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a_mat, -1, -2) @ gg, b_mat.shape).reshape(b.data.shape)
-        return ga, gb
+        def vjp(g):
+            if len(b_shape) == 2 and len(a_shape) > 2:
+                # a batched projection: fold the batch dims into the rows so
+                # the weight gradient is one (d, N) @ (N, e) GEMM, not B
+                # products summed over a (B, d, e) temporary
+                d, e = b_shape
+                g2 = np.asarray(g).reshape(-1, e)
+                return ((g2 @ b_data.T).reshape(a_shape) if need_a else None,
+                        a_data.reshape(-1, d).T @ g2 if need_b else None)
+            # promote 1-D operands to matrices, mirroring numpy @ semantics
+            a_mat = a_shape if len(a_shape) > 1 else (1,) + a_shape
+            b_mat = b_shape if len(b_shape) > 1 else b_shape + (1,)
+            batch = np.broadcast_shapes(a_mat[:-2], b_mat[:-2])
+            gg = np.asarray(g).reshape(batch + (a_mat[-2], b_mat[-1]))
+            ga = gb = None
+            if need_a:
+                bm = b_data if b_data.ndim > 1 else b_data.reshape(-1, 1)
+                ga = _unbroadcast(gg @ np.swapaxes(bm, -1, -2), a_mat).reshape(a_shape)
+            if need_b:
+                am = a_data if a_data.ndim > 1 else a_data.reshape(1, -1)
+                gb = _unbroadcast(np.swapaxes(am, -1, -2) @ gg, b_mat).reshape(b_shape)
+            return ga, gb
 
-    return _make(out, (a, b), vjp)
+        _record(out, (a, b), vjp)
+    return out
 
 
 def power(a, p: float) -> Tensor:
     a = as_tensor(a)
     p = float(p)
-    out = a.data ** p
+    out = Tensor(a.data ** p)
+    if _tracked(a):
+        x = a.data
 
-    def vjp(g):
-        return (g * p * a.data ** (p - 1.0),)
+        def vjp(g):
+            return (g * p * x ** (p - 1.0),)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = np.exp(a.data)
+    out = Tensor(np.exp(a.data))
+    if _tracked(a):
+        y = out.data
 
-    def vjp(g):
-        return (g * out,)
+        def vjp(g):
+            return (g * y,)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = np.log(a.data)
+    out = Tensor(np.log(a.data))
+    if _tracked(a):
+        x = a.data
 
-    def vjp(g):
-        return (g / a.data,)
+        def vjp(g):
+            return (g / x,)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
+    out = Tensor(np.maximum(a.data, 0.0))
+    if _tracked(a):
+        positive = a.data > 0.0
 
-    def vjp(g):
-        return (g * (a.data > 0.0),)
+        def vjp(g):
+            return (g * positive,)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -243,38 +329,47 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = _sigmoid_np(a.data)
+    out = Tensor(_sigmoid_np(a.data))
+    if _tracked(a):
+        y = out.data
 
-    def vjp(g):
-        return (g * out * (1.0 - out),)
+        def vjp(g):
+            return (g * y * (1.0 - y),)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes only through the unclamped region."""
     a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
+    out = Tensor(np.clip(a.data, lo, hi))
+    if _tracked(a):
+        inside = (a.data >= lo) & (a.data <= hi)
 
-    def vjp(g):
-        return (g * ((a.data >= lo) & (a.data <= hi)),)
+        def vjp(g):
+            return (g * inside,)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    if _tracked(a):
+        a_shape = a.shape
 
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        def vjp(g):
+            if axis is None:
+                return (np.broadcast_to(g, a_shape).copy(),)
+            gg = g
+            if not keepdims:
+                gg = np.expand_dims(g, axis)
+            return (np.broadcast_to(gg, a_shape).copy(),)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -290,37 +385,44 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = a.data.reshape(shape)
+    out = Tensor(a.data.reshape(shape))
+    if _tracked(a):
+        a_shape = a.shape
 
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
+        def vjp(g):
+            return (g.reshape(a_shape),)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    out = a.data.transpose(axes)
+    out = Tensor(a.data.transpose(axes))
+    if _tracked(a):
+        def vjp(g):
+            # the inverse permutation, computed only when a gradient flows
+            return (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),)
 
-    def vjp(g):
-        # the inverse permutation, computed only when a gradient flows
-        return (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),)
-
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def getitem(a, idx) -> Tensor:
     """Constant-index slicing/gather; gradients scatter-add back."""
     a = as_tensor(a)
-    out = a.data[idx]
+    out = Tensor(a.data[idx])
+    if _tracked(a):
+        a_shape = a.shape
 
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        def vjp(g):
+            full = np.zeros(a_shape)
+            np.add.at(full, idx, g)
+            return (full,)
 
-    return _make(out, (a,), vjp)
+        _record(out, (a,), vjp)
+    return out
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -340,9 +442,13 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
     """Accumulate d(out)/d(leaf) into .grad over the whole graph."""
     if not out.requires_grad:
         raise ValueError("output does not require grad")
-    topo: list[Tensor] = []
+    if seed is not None and np.shape(seed) != out.shape:
+        raise ValueError(f"seed shape {np.shape(seed)} does not match "
+                         f"output shape {out.shape}")
+    root = _node_of(out)
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(out, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -357,13 +463,14 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {
-        id(out): np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=np.float64)
+        id(root): np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=np.float64)
     }
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
+            # a leaf Tensor, which is its own node
             node.grad = g if node.grad is None else node.grad + g
             continue
         for p, pg in zip(node._parents, node._vjp(g)):
@@ -374,5 +481,4 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-    # leaves that appear only as graph roots with vjp=None were handled in
-    # the loop; interior nodes do not retain grads
+    # interior nodes do not retain grads

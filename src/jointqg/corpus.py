@@ -224,6 +224,7 @@ def load_squad_json(path: str, return_stats: bool = False):
 
     stats = LoadStats()
     examples: list[QAExample] = []
+    first_seen: dict[str, str] = {}
     for ai, article in enumerate(payload["data"]):
         if not isinstance(article, dict) or not isinstance(article.get("paragraphs"), list):
             raise SchemaError(f"{path}: data[{ai}] lacks a 'paragraphs' list")
@@ -240,6 +241,10 @@ def load_squad_json(path: str, return_stats: bool = False):
                     raise SchemaError(f"{path}: {where} lacks answers")
                 stats.total += 1
                 qa_id = str(qa.get("id", where))
+                if qa_id in first_seen:
+                    raise SchemaError(f"{path}: {where} repeats id {qa_id!r} "
+                                      f"of {first_seen[qa_id]}")
+                first_seen[qa_id] = where
                 answer = answers[0]
                 if not isinstance(answer, dict) or "text" not in answer or "answer_start" not in answer:
                     raise SchemaError(f"{path}: {where} answer needs text and answer_start")
@@ -305,11 +310,17 @@ def write_corpus_jsonl(examples: list[QAExample], path: str) -> None:
 
 def read_corpus_jsonl(path: str) -> list[QAExample]:
     examples = []
+    first_line: dict[str, int] = {}
     for ln, rec in read_jsonl(path):
         try:
-            examples.append(example_from_record(rec))
+            ex = example_from_record(rec)
         except ValueError as e:
             raise SchemaError(f"{path}:{ln}: {e}") from e
+        if ex.document.id in first_line:
+            raise SchemaError(f"{path}:{ln}: repeats id {ex.document.id!r} "
+                              f"of line {first_line[ex.document.id]}")
+        first_line[ex.document.id] = ln
+        examples.append(ex)
     if not examples:
         raise EmptyDatasetError(f"{path}: no records")
     return examples

@@ -108,11 +108,13 @@ def write_labels_jsonl(examples: list[QAExample],
 
 
 def read_labels_jsonl(path: str) -> dict[str, dict]:
-    """Map example id to its stored label record."""
+    """Map example id to its stored label record; a repeated id is refused."""
     records: dict[str, dict] = {}
+    first_line: dict[str, int] = {}
     for ln, rec in read_jsonl(path):
         try:
-            records[str(rec["id"])] = {
+            key = str(rec["id"])
+            entry = {
                 "labels": RelevanceLabels(tuple(int(x) for x in rec["relevance"]),
                                           tuple(float(x) for x in rec["scores"]),
                                           int(rec["k"])),
@@ -120,6 +122,10 @@ def read_labels_jsonl(path: str) -> dict[str, dict]:
             }
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}:{ln}: bad label record ({e})") from e
+        if key in first_line:
+            raise SchemaError(f"{path}:{ln}: repeats id {key!r} of line {first_line[key]}")
+        first_line[key] = ln
+        records[key] = entry
     if not records:
         raise SchemaError(f"{path}: no label records")
     return records

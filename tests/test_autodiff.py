@@ -1,10 +1,16 @@
 """Reverse-mode autodiff: every op against central finite differences."""
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from jointqg import autodiff as ad
+from jointqg import training as T
+from jointqg.embedding import BagMeanBackend
+from jointqg.labeler import label_examples, question_type_of
+from jointqg.model import Parameters
 from oracles import central_difference
 
 
@@ -265,6 +271,14 @@ def test_backward_seed_weighting():
     assert np.array_equal(t.grad, [0.0, 0.0, 40.0])
 
 
+def test_backward_refuses_a_seed_of_another_shape():
+    t = ad.Tensor(np.arange(3.0), requires_grad=True)
+    out = ad.mul(t, t)
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(3,\)"):
+        ad.backward(out, seed=np.ones((2, 3)))
+    assert t.grad is None
+
+
 def test_no_grad_blocks_graph():
     t = ad.Tensor([1.0], requires_grad=True)
     with ad.no_grad():
@@ -298,6 +312,122 @@ def test_diamond_graph_grad():
     out = ad.tsum(ad.add(ad.mul(t, t), ad.mul(t, 3.0)))
     ad.backward(out)
     assert np.allclose(t.grad, 11.0)
+
+
+# ------------------------------------------------- what a graph keeps alive
+
+def _unary(op):
+    return lambda a, b: op(a)
+
+
+# every op, on operands that both need a gradient where it has two
+_ALL_OPS = [
+    ("add", ad.add), ("mul", ad.mul), ("div", ad.div), ("matmul", ad.matmul),
+    ("power", _unary(lambda a: ad.power(a, 3.0))), ("exp", _unary(ad.exp)),
+    ("log", _unary(lambda a: ad.log(ad.mul(a, a)))),
+    ("relu", _unary(ad.relu)), ("sigmoid", _unary(ad.sigmoid)),
+    ("clip", _unary(lambda a: ad.clip(a, -0.5, 0.5))), ("tsum", _unary(ad.tsum)),
+    ("tsum-axis", _unary(lambda a: ad.tsum(a, axis=1))),
+    ("reshape", _unary(lambda a: ad.reshape(a, (9,)))),
+    ("transpose", _unary(lambda a: ad.transpose(a, (1, 0)))),
+    ("getitem", _unary(lambda a: ad.getitem(a, np.array([0, 2, 0])))),
+]
+
+
+def _closure_values(vjp):
+    """What a VJP closure captures, with tuples opened one level."""
+    for cell in vjp.__closure__ or ():
+        value = cell.cell_contents
+        yield from value if isinstance(value, tuple) else (value,)
+
+
+def _operands(grads=(True, True)):
+    rng = np.random.default_rng(30)
+    return [ad.Tensor(rng.standard_normal((3, 3)), requires_grad=g) for g in grads]
+
+
+@pytest.mark.parametrize("name, op", _ALL_OPS, ids=[c[0] for c in _ALL_OPS])
+@pytest.mark.parametrize("grads", [(True, True), (True, False), (False, True)],
+                         ids=["both", "a-only", "b-only"])
+def test_no_vjp_closure_holds_a_tensor(name, op, grads):
+    out = op(*_operands(grads))
+    if not out.requires_grad:
+        return  # a unary op on a constant records nothing
+    assert not any(isinstance(v, (ad.Tensor, ad._Node)) for v in _closure_values(out._vjp))
+
+
+@pytest.mark.parametrize("name, op", _ALL_OPS, ids=[c[0] for c in _ALL_OPS])
+def test_no_grad_and_constant_ops_record_no_vjp(name, op):
+    with ad.no_grad():
+        out = op(*_operands())
+    assert out._vjp is None and out._parents == () and not out.requires_grad
+    out = op(*_operands((False, False)))
+    assert out._vjp is None and not out.requires_grad
+
+
+def test_intermediate_value_is_freed_once_the_chain_moves_past_it():
+    rng = np.random.default_rng(31)
+    arr = rng.standard_normal((3, 4))
+    t = ad.Tensor(arr, requires_grad=True)
+
+    def build(x):
+        h = ad.add(x, 1.0)
+        build.ref = weakref.ref(h.data)
+        return ad.exp(ad.mul(h, 2.0))
+
+    out = build(t)
+    # mul by a constant keeps only the constant and exp keeps its output,
+    # so nothing in the live graph reads add's value
+    assert build.ref() is None
+    w = rng.standard_normal(out.shape)
+    ad.backward(out, seed=w)
+    fd = central_difference(lambda: float((build(t).data * w).sum()), arr)
+    assert np.abs(t.grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-6
+
+
+def _live_nodes() -> int:
+    return sum(isinstance(o, ad._Node) for o in gc.get_objects())
+
+
+def _graph_arrays(out):
+    """Every array held in a VJP closure of out's graph."""
+    arrays, seen, stack = [], set(), [out._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not isinstance(node, ad._Node):
+            continue
+        seen.add(id(node))
+        arrays.extend(v for v in _closure_values(node._vjp) if isinstance(v, np.ndarray))
+        stack.extend(node._parents)
+    return arrays
+
+
+def test_dropping_a_step_graph_frees_it_without_the_cycle_collector(
+        tiny_examples, tiny_vocab, tiny_model_cfg):
+    examples = tiny_examples[:4]
+    labels = label_examples(examples, BagMeanBackend(dim=16, seed=0), k=1)
+    qtypes = [question_type_of(ex.document.question) for ex in examples]
+    prepared, _ = T.prepare_examples(examples, labels, qtypes, tiny_vocab,
+                                     tiny_model_cfg, T.TrainConfig(k=1))
+    params = Parameters.init(tiny_model_cfg, seed=5)
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_nodes()
+        total, sel_l, gen_l = T._batch_losses(prepared, params, tiny_model_cfg,
+                                              "joint", 0.5, None)
+        ad.backward(total)
+        assert _live_nodes() > before
+        param_ids = {id(p.data) for _, p in params.items()}
+        held = [weakref.ref(a) for a in _graph_arrays(total) if id(a) not in param_ids]
+        assert held
+        # refcounting alone must free every node and every saved array; a
+        # reference cycle anywhere, leaves included, would keep them alive
+        del total, sel_l, gen_l
+        assert _live_nodes() == before
+        assert all(r() is None for r in held)
+    finally:
+        gc.enable()
 
 
 def test_tensor_casts_to_float64():

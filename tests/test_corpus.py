@@ -55,6 +55,20 @@ def test_schema_error_names_offending_path(tmp_path):
         load_squad_json(str(p))
 
 
+def test_repeated_squad_id_is_refused(tmp_path):
+    qa = {"id": "q1", "question": "What is blue?",
+          "answers": [{"text": "sky", "answer_start": 4}]}
+    data = {"data": [{"paragraphs": [
+        {"context": "The sky is blue today.", "qas": [qa]},
+        {"context": "The sky is grey now.", "qas": [dict(qa, id="q2"), qa]},
+    ]}]}
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=r"data\[0\].paragraphs\[1\].qas\[1\] repeats id "
+                                          r"'q1' of data\[0\].paragraphs\[0\].qas\[0\]"):
+        load_squad_json(str(p))
+
+
 def test_not_json_is_schema_error(tmp_path):
     p = tmp_path / "garbage.json"
     p.write_text("{nope")
@@ -227,4 +241,13 @@ def test_corpus_jsonl_bad_lines_name_path_and_line(tmp_path, tiny_examples):
     del rec["question"]
     path.write_text(good + json.dumps(rec) + "\n")
     with pytest.raises(SchemaError, match=r"corpus.jsonl:2: bad corpus record"):
+        read_corpus_jsonl(str(path))
+
+
+def test_corpus_jsonl_repeated_id_is_refused(tmp_path, tiny_examples):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(tiny_examples[:2], str(path))
+    first = path.read_text().splitlines()[0]
+    path.write_text(path.read_text() + first + "\n")
+    with pytest.raises(SchemaError, match=r"corpus.jsonl:3: repeats id .* of line 1"):
         read_corpus_jsonl(str(path))

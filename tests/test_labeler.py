@@ -203,6 +203,15 @@ def test_labels_jsonl_non_json_line(tmp_path):
         read_labels_jsonl(str(path))
 
 
+def test_labels_jsonl_repeated_id_is_refused(tmp_path):
+    rec = {"id": "a", "relevance": [1], "scores": [0.5], "k": 1, "qtype": "what"}
+    other = dict(rec, id="b")
+    path = tmp_path / "dup.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in (rec, other, dict(rec, k=2))))
+    with pytest.raises(SchemaError, match=r"dup.jsonl:3: repeats id 'a' of line 1"):
+        read_labels_jsonl(str(path))
+
+
 def test_labels_jsonl_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
