@@ -8,7 +8,9 @@ gradient, the output of exp and sigmoid, the input of log and power, a
 mask for relu and clip, shapes for the rest), never a Tensor, so an
 intermediate value is freed as soon as the code that made it moves on.
 backward() walks the nodes once in reverse topological order and
-accumulates gradients into leaf tensors. A VJP returns None for an operand
+accumulates gradients into leaf tensors. A consumed gradient is freed at
+once: a node's upstream gradient as soon as its VJP returns, and the VJP's
+results once they are accumulated. A VJP returns None for an operand
 that needs no gradient (a constant such as a mask or a scale), so no
 arithmetic is spent on it. Under no_grad, or with only constant operands,
 an op records nothing. All computation runs in float64. The op set is
@@ -473,7 +475,11 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
             # a leaf Tensor, which is its own node
             node.grad = g if node.grad is None else node.grad + g
             continue
-        for p, pg in zip(node._parents, node._vjp(g)):
+        pgs = node._vjp(g)
+        # a consumed gradient is freed at once: g before the accumulation,
+        # and the VJP's results after it, so none outlives its use
+        del g
+        for p, pg in zip(node._parents, pgs):
             if pg is None or not p.requires_grad:
                 continue
             key = id(p)
@@ -481,4 +487,5 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+        pgs = pg = None
     # interior nodes do not retain grads

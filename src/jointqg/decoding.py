@@ -92,8 +92,8 @@ def beam_search_nbest(scorer, beam_size: int, max_len: int = 32,
         raise ValueError("beam_size must be at least 1")
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    if length_alpha < 0:
-        raise ValueError("length_alpha must be non-negative")
+    if not np.isfinite(length_alpha) or length_alpha < 0:
+        raise ValueError("length_alpha must be finite and non-negative")
 
     active: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     pool: list[tuple[tuple[int, ...], float]] = []

@@ -57,6 +57,9 @@ class TrainConfig:
             raise ValueError(f"unknown training mode '{self.mode}'")
         if not 0.0 <= self.lambda_weight <= 1.0:
             raise ValueError("lambda_weight must be in [0, 1]")
+        for name in ("learning_rate", "weight_decay", "adam_eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise ValueError("learning_rate and weight_decay must be non-negative")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
@@ -138,8 +141,10 @@ class Adam:
     """Adam with decoupled, lr-independent weight decay.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - wd * theta
-    Missing gradients count as zero so every parameter advances its moment
-    estimates in every step.
+    A parameter's moments are created at its first gradient. Until then
+    they would be exact zeros, whose update is exactly 0.0, so the step
+    applies only the decay. From then on a missing gradient counts as zero,
+    so the moment estimates advance in every step.
     """
 
     def __init__(self, params: M.Parameters, lr: float, beta1: float = 0.9,
@@ -151,8 +156,8 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
         self.t += 1
@@ -160,10 +165,14 @@ class Adam:
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
+            if p.grad is None and name not in self._m:
+                # p - lr * 0.0 == p for any finite lr
+                p.data = p.data - self.weight_decay * p.data
+                continue
             # a scalar zero gives bitwise the same moments as a zeros array
             g = p.grad if p.grad is not None else 0.0
-            m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
-            v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * (g * g)
+            m = self._m[name] = b1 * self._m.get(name, 0.0) + (1.0 - b1) * g
+            v = self._v[name] = b2 * self._v.get(name, 0.0) + (1.0 - b2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data = p.data - self.lr * update - self.weight_decay * p.data
 
@@ -348,6 +357,8 @@ def _run_stage(prepared, params, model_cfg, train_cfg, mode, epochs, history,
         if log_fh is not None:
             log_fh.write(json.dumps(record) + "\n")
             log_fh.flush()
+    # the last step's gradients are consumed; nothing after the stage reads them
+    params.zero_grad()
     return step
 
 

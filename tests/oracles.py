@@ -222,3 +222,27 @@ def grouped_mean_oracle(token_states, sentence_index):
         assert rows, f"ordinal {s} empty"
         out[s] = sum(rows) / len(rows)
     return out
+
+
+# ------------------------------------------------------------ optimizer
+
+def adam_eager_oracle(init, grads_per_step, lr, beta1=0.9, beta2=0.999,
+                      eps=1e-8, weight_decay=0.0):
+    """Adam with decoupled decay whose moments start as zero arrays for
+    every parameter and take an explicit zero array for a missing
+    gradient. The expression order is the optimizer's, so results compare
+    bitwise. Returns (data, m, v), each a dict by name."""
+    data = {k: np.array(v, dtype=np.float64) for k, v in init.items()}
+    m = {k: np.zeros_like(v) for k, v in data.items()}
+    v = {k: np.zeros_like(x) for k, x in data.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for k in data:
+            g = grads.get(k)
+            g = np.zeros_like(data[k]) if g is None else np.asarray(g, dtype=np.float64)
+            m[k] = beta1 * m[k] + (1.0 - beta1) * g
+            v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
+            update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+            data[k] = data[k] - lr * update - weight_decay * data[k]
+    return data, m, v

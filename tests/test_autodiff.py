@@ -430,6 +430,47 @@ def test_dropping_a_step_graph_frees_it_without_the_cycle_collector(
         gc.enable()
 
 
+def test_backward_frees_each_upstream_gradient_before_accumulating_its_vjp():
+    rng = np.random.default_rng(33)
+    t = ad.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    y = ad.log_softmax(ad.mul(t, t), axis=-1)
+    out = ad.tsum(ad.mul(y, rng.standard_normal((4, 6))))
+    ad.backward(out)
+    want, t.grad = t.grad, None
+    dead_at_accumulation = []
+
+    def probe(vjp):
+        def wrapped(g):
+            ref = weakref.ref(g)
+            results = vjp(g)
+            # a result that shares g's memory keeps it alive by right
+            shared = any(r is not None and np.shares_memory(r, g) for r in results)
+            del g
+
+            def accumulated():
+                # backward takes each result as it accumulates it
+                for r in results:
+                    if not shared:
+                        dead_at_accumulation.append(ref() is None)
+                    yield r
+            return accumulated()
+        return wrapped
+
+    seen, stack = set(), [out._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not isinstance(node, ad._Node):
+            continue
+        seen.add(id(node))
+        node._vjp = probe(node._vjp)
+        stack.extend(node._parents)
+    ad.backward(out)
+    # the two muls, exp, tsum (twice) and log never pass g through
+    assert len(dead_at_accumulation) >= 6
+    assert all(dead_at_accumulation)
+    assert t.grad.tobytes() == want.tobytes()
+
+
 def test_tensor_casts_to_float64():
     t = ad.Tensor(np.array([1, 2], dtype=np.int64))
     assert t.data.dtype == np.float64

@@ -163,6 +163,12 @@ def test_beam_validates_arguments():
         beam_search_nbest(scorer, beam_size=2, length_alpha=-0.5)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_beam_rejects_a_non_finite_length_alpha(alpha):
+    with pytest.raises(ValueError, match="length_alpha"):
+        beam_search_nbest(peaked_scorer([5], 8), beam_size=2, length_alpha=alpha)
+
+
 def test_beam_search_decode_returns_top_ids():
     scorer = rng_scorer(5, vocab_size=7)
     top = beam_search_nbest(scorer, beam_size=3, max_len=5, length_alpha=0.7)

@@ -553,7 +553,11 @@ def test_checkpoint_bytes_deterministic(tmp_path, tiny_params, tiny_model_cfg,
     a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     M.save_checkpoint(a, tiny_params, tiny_model_cfg, tiny_vocab)
     M.save_checkpoint(b, tiny_params, tiny_model_cfg, tiny_vocab)
-    digest = lambda p: hashlib.sha256(open(p, "rb").read()).hexdigest()
+
+    def digest(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
     assert digest(a) == digest(b)
 
 

@@ -14,6 +14,7 @@ from jointqg.labeler import RelevanceLabels, label_examples, question_type_of
 from jointqg.model import Parameters
 from jointqg.tokenizer import Vocabulary
 from conftest import small_model_cfg
+from oracles import adam_eager_oracle
 import synth
 
 LN2 = 0.6931471805599453
@@ -164,6 +165,74 @@ def test_adam_missing_grad_is_bitwise_an_explicit_zero_grad():
         assert a_none._v[k].tobytes() == a_zero._v[k].tobytes()
 
 
+def _run_adam(init, grads_per_step, **kw):
+    p = Parameters({k: Tensor(np.array(v), requires_grad=True) for k, v in init.items()})
+    adam = T.Adam(p, **kw)
+    for grads in grads_per_step:
+        for k, t in p.items():
+            t.grad = grads.get(k)
+        adam.step()
+    return p, adam
+
+
+# signed zeros in data and gradients, where a different expression order
+# would show up in the sign bit
+_ADAM_INIT = {"seen": [[0.5, -0.0, 0.0], [-2.0, 3.0, 1e-300]],
+              "never": [[1.5, -0.0], [0.0, -7.0]]}
+_ADAM_KW = dict(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+
+
+def test_adam_never_graded_parameter_has_no_moments_and_only_decays():
+    rng = np.random.default_rng(5)
+    grads = [{"seen": rng.normal(size=(2, 3))} for _ in range(4)]
+    grads[1]["seen"][0, 1] = -0.0
+    p, adam = _run_adam(_ADAM_INIT, grads, **_ADAM_KW)
+    assert "never" not in adam._m and "never" not in adam._v
+    data, m, v = adam_eager_oracle(_ADAM_INIT, grads, **_ADAM_KW)
+    for k in _ADAM_INIT:
+        assert p[k].data.tobytes() == data[k].tobytes(), k
+    assert adam._m["seen"].tobytes() == m["seen"].tobytes()
+    assert adam._v["seen"].tobytes() == v["seen"].tobytes()
+
+
+def test_adam_first_gradient_at_step_3_matches_explicit_zero_gradients():
+    rng = np.random.default_rng(6)
+    late = [rng.normal(size=(2, 3)) for _ in range(3)]
+    late[0][1, 2] = -0.0
+    missing = [{}, {}] + [{"seen": g} for g in late]
+    explicit = [{"seen": np.zeros((2, 3))}, {"seen": np.zeros((2, 3))}] + missing[2:]
+    p_missing, a_missing = _run_adam(_ADAM_INIT, missing, **_ADAM_KW)
+    p_explicit, a_explicit = _run_adam(_ADAM_INIT, explicit, **_ADAM_KW)
+    data, m, v = adam_eager_oracle(_ADAM_INIT, missing, **_ADAM_KW)
+    for got_p, got_a in ((p_missing, a_missing), (p_explicit, a_explicit)):
+        for k in _ADAM_INIT:
+            assert got_p[k].data.tobytes() == data[k].tobytes(), k
+        assert got_a._m["seen"].tobytes() == m["seen"].tobytes()
+        assert got_a._v["seen"].tobytes() == v["seen"].tobytes()
+
+
+def test_two_step_stages_keep_moments_only_for_parameters_with_gradients(
+        stall_setup, monkeypatch):
+    optimizers = []
+
+    class Recording(T.Adam):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            optimizers.append(self)
+
+    monkeypatch.setattr(T, "Adam", Recording)
+    res = _train(stall_setup, mode="two_step", epochs=1)
+    stage1, stage2 = optimizers
+    names = res.params.names()
+    sel = {n for n in names if n.startswith("sel.")}
+    generator_only = {n for n in names
+                      if n.startswith(("dec", "out.", "qt.")) or n == "pos_dec"}
+    assert sel <= set(stage1._m) and not generator_only & set(stage1._m)
+    # stage 2 trains generation alone: no selector or question-type head
+    assert "out.w" in stage2._m and not (sel | {"qt.w1"}) & set(stage2._m)
+    assert set(stage1._m) == set(stage1._v) and set(stage2._m) == set(stage2._v)
+
+
 def test_adam_decay_independent_of_lr():
     # the decay shrinkage must not scale with the learning rate
     for lr in (0.0, 1e-6, 1e-2):
@@ -201,6 +270,13 @@ def test_train_config_validation(bad):
     cfg = T.TrainConfig(**bad)
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "adam_eps"])
+def test_train_config_rejects_non_finite_optimizer_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        T.TrainConfig(**{name: value}).validate()
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +488,16 @@ def test_each_step_graph_is_released_before_the_next_forward(
     res = _train(stall_setup, mode=mode, epochs=2)
     assert res.steps >= 4 and len(refs) >= res.steps
     assert alive_at_forward == [0] * res.steps
+
+
+@pytest.mark.parametrize("mode", ["joint", "two_step"])
+def test_train_returns_parameters_without_gradients(stall_setup, mode):
+    res = _train(stall_setup, mode=mode, epochs=1)
+    param_sets = [res.params]
+    if mode == "two_step":
+        param_sets.append(res.selector_params)
+    for params in param_sets:
+        assert [n for n, t in params.items() if t.grad is not None] == []
 
 
 def test_empty_example_list_rejected(stall_setup):
