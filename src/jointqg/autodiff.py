@@ -464,16 +464,28 @@ def backward(out: Tensor, seed: np.ndarray | None = None) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
+    # the seed is copied, so no .grad aliases the caller's array
     grads: dict[int, np.ndarray] = {
-        id(root): np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=np.float64)
+        id(root): np.ones_like(out.data) if seed is None else np.array(seed, dtype=np.float64)
     }
+    # memory owners already handed to a leaf's .grad by this call; a VJP can
+    # pass one gradient through to two leaves (add of two same-shape leaves)
+    handed: set[int] = set()
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
             # a leaf Tensor, which is its own node
-            node.grad = g if node.grad is None else node.grad + g
+            if node.grad is not None:
+                node.grad = node.grad + g
+                continue
+            owner = id(g if g.base is None else g.base)
+            if owner in handed:
+                g = g.copy()
+            else:
+                handed.add(owner)
+            node.grad = g
             continue
         pgs = node._vjp(g)
         # a consumed gradient is freed at once: g before the accumulation,

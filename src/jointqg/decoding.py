@@ -79,6 +79,16 @@ def greedy_decode(scorer, max_len: int = 32) -> list[int]:
     return out
 
 
+def check_decode_settings(beam_size: int, max_len: int, length_alpha: float) -> None:
+    """Refuse a beam or length below 1 and a non-finite or negative alpha."""
+    if beam_size < 1:
+        raise ValueError("beam_size must be at least 1")
+    if max_len < 1:
+        raise ValueError("max_len must be positive")
+    if not np.isfinite(length_alpha) or length_alpha < 0:
+        raise ValueError("length_alpha must be finite and non-negative")
+
+
 def beam_search_decode(scorer, beam_size: int, max_len: int = 32,
                        length_alpha: float = 0.7) -> list[int]:
     """Best final hypothesis only."""
@@ -88,12 +98,7 @@ def beam_search_decode(scorer, beam_size: int, max_len: int = 32,
 def beam_search_nbest(scorer, beam_size: int, max_len: int = 32,
                       length_alpha: float = 0.7) -> list[DecodeResult]:
     """All final hypotheses, best first."""
-    if beam_size < 1:
-        raise ValueError("beam_size must be at least 1")
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
-    if not np.isfinite(length_alpha) or length_alpha < 0:
-        raise ValueError("length_alpha must be finite and non-negative")
+    check_decode_settings(beam_size, max_len, length_alpha)
 
     active: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     pool: list[tuple[tuple[int, ...], float]] = []
@@ -154,15 +159,11 @@ def generate_predictions(ckpt: Checkpoint, examples: list[QAExample],
                          selector: Checkpoint | None = None) -> list[dict]:
     """Decode each example into an {id, prediction, gold, beam_size, score}
     record. A selector first cuts each context to the sentences it keeps,
-    by the rule two_step stage 2 trained on."""
+    by the same training.selector_cut two_step stage 2 trained on."""
     inputs = [assemble_model_input(ex, vocab, ckpt.config.max_len) for ex in examples]
     if selector is not None:
-        probs = T.selector_predictions(inputs, selector.params, selector.config)
-        inputs = [assemble_model_input(
-                      ex, vocab, ckpt.config.max_len,
-                      keep=T.selector_keep_indices(pr, mi.kept_sentences,
-                                                   selector.selector_k))
-                  for ex, mi, pr in zip(examples, inputs, probs)]
+        inputs, _ = T.selector_cut(examples, inputs, selector.params, selector.config,
+                                   selector.selector_k, vocab, ckpt.config.max_len)
     records = []
     for ex, mi in zip(examples, inputs):
         best = beam_search_nbest(make_scorer(ckpt, mi), beam_size, max_len,

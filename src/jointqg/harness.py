@@ -31,7 +31,7 @@ from .embedding import BackendSpec, create_backend
 from .errors import SchemaError, StageError
 from .fileio import write_atomic
 from .labeler import label_examples, question_type_of, write_labels_jsonl
-from .tokenizer import Vocabulary
+from .tokenizer import Vocabulary, check_vocab_settings
 
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"vocab_size"}
 # seed and k are set once, at the top level, for every stage
@@ -108,7 +108,11 @@ class ExperimentConfig:
         return cfg
 
     def resolved(self) -> dict:
-        """Full configuration with every default filled in."""
+        """Full configuration with every default filled in. A bad train,
+        vocabulary or decode setting raises ValueError here, so a run refuses
+        it before its run directory exists."""
+        check_vocab_settings(self.vocab_max_size, self.vocab_min_freq)
+        D.check_decode_settings(self.beam_size, self.max_decode_len, self.length_alpha)
         out = dataclasses.asdict(self)
         out["backend"] = dataclasses.asdict(self.backend)
         model = dataclasses.asdict(M.ModelConfig(vocab_size=0, **self.model))
@@ -165,9 +169,10 @@ class RunLock:
 
 
 def _make_run_dir(cfg: ExperimentConfig) -> str:
+    # hashing resolves and checks the config, so a bad one creates no directory
+    name = f"run-{time.strftime('%Y%m%d-%H%M%S')}-{cfg.config_hash()}"
     os.makedirs(cfg.out_dir, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    base = os.path.join(cfg.out_dir, f"run-{stamp}-{cfg.config_hash()}")
+    base = os.path.join(cfg.out_dir, name)
     run_dir = base
     n = 1
     while True:
@@ -217,16 +222,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
                                os.path.join(run_dir, "labels.jsonl"))
 
         with _stage("train"):
-            refresh = None
-            if train_cfg.refresh_labels_each_epoch:
-                def refresh(params):
-                    live = create_backend(
-                        BackendSpec("model_encoder"), params=params,
-                        config=model_cfg, vocab=vocab)
-                    return label_examples(train_examples, live, cfg.k)
             result = T.train(train_examples, labels, qtypes, vocab, model_cfg,
-                             train_cfg, log_path=os.path.join(run_dir, "train_log.jsonl"),
-                             label_refresh=refresh)
+                             train_cfg, log_path=os.path.join(run_dir, "train_log.jsonl"))
             ckpt_path = os.path.join(run_dir, "model.ckpt")
             M.save_checkpoint(ckpt_path, result.params, model_cfg, vocab,
                               step=result.steps, seed=train_cfg.seed)
@@ -295,6 +292,10 @@ def compare_modes(cfg: ExperimentConfig,
     against the first mode. Writes compare_modes.csv under out_dir."""
     if len(modes) < 2:
         raise ValueError("compare_modes needs at least two modes")
+    unknown = [m for m in modes if m not in T.TRAIN_MODES]
+    if unknown:
+        raise ValueError(f"unknown training modes {unknown}; "
+                         f"choose from {list(T.TRAIN_MODES)}")
     rows: list[dict] = []
     for mode in modes:
         sub = cfg.with_overrides(mode=mode,

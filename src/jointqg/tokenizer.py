@@ -35,6 +35,14 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(normalize_text(text).lower())
 
 
+def check_vocab_settings(max_size: int, min_freq: int) -> None:
+    """Refuse a vocabulary size or minimum frequency below 1."""
+    if max_size < 1:
+        raise ValueError("max_size must be positive")
+    if min_freq < 1:
+        raise ValueError("min_freq must be positive")
+
+
 @dataclass
 class Vocabulary:
     """Token/id mapping with fixed special ids 0..5."""
@@ -60,10 +68,7 @@ class Vocabulary:
         truncated to max_size non-special entries."""
         if not examples:
             raise ValueError("cannot build a vocabulary from zero examples")
-        if max_size < 1:
-            raise ValueError("max_size must be positive")
-        if min_freq < 1:
-            raise ValueError("min_freq must be positive")
+        check_vocab_settings(max_size, min_freq)
         counts: Counter[str] = Counter()
         for ex in examples:
             counts.update(tokenize(ex.document.context))

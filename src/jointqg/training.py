@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,14 +26,17 @@ from . import autodiff as ad
 from . import model as M
 from .autodiff import Tensor
 from .corpus import QAExample
+from .embedding import ModelEncoderBackend
 from .errors import InputTooLongError, NumericError
-from .labeler import QUESTION_TYPES, RelevanceLabels, question_type_index, rank_sentences
+from .labeler import RelevanceLabels, label_examples, question_type_index, rank_sentences
 from .tokenizer import (BOS_ID, EOS_ID, PAD_ID, ModelInput, Vocabulary,
                         assemble_model_input, pad_batch)
 
 _PROB_CLAMP = 1e-7
 
 TRAIN_MODES = ("joint", "generation_only", "two_step", "aux_qtc")
+# the stage modes whose loss reads an example's relevance labels
+_RELEVANCE_MODES = ("joint", "two_step_stage1")
 
 
 @dataclass
@@ -187,20 +190,21 @@ class PreparedExample:
     source_index: int = -1     # position in the original example list
 
 
+def _relevance(labels: RelevanceLabels, mi: ModelInput) -> np.ndarray:
+    return np.asarray([labels.labels[i] for i in mi.kept_sentences], dtype=np.int64)
+
+
 def prepare_examples(examples: list[QAExample], labels: list[RelevanceLabels],
                      qtypes: list[str], vocab: Vocabulary, model_cfg: M.ModelConfig,
-                     train_cfg: TrainConfig,
-                     keep_per_example: list[list[int]] | None = None
-                     ) -> tuple[list[PreparedExample], int]:
+                     train_cfg: TrainConfig) -> tuple[list[PreparedExample], int]:
     """Assemble model inputs and targets; returns (prepared, dropped)."""
     if not (len(examples) == len(labels) == len(qtypes)):
         raise ValueError("examples, labels and qtypes must align")
     prepared = []
     dropped = 0
     for idx, (ex, lab, qt) in enumerate(zip(examples, labels, qtypes)):
-        keep = keep_per_example[idx] if keep_per_example is not None else None
         try:
-            mi = assemble_model_input(ex, vocab, model_cfg.max_len, keep=keep)
+            mi = assemble_model_input(ex, vocab, model_cfg.max_len)
         except InputTooLongError:
             dropped += 1
             continue
@@ -212,8 +216,7 @@ def prepare_examples(examples: list[QAExample], labels: list[RelevanceLabels],
             example=ex,
             model_input=mi,
             gold_ids=np.asarray(gold + [EOS_ID], dtype=np.int64),
-            relevance=np.asarray([lab.labels[i] for i in mi.kept_sentences],
-                                 dtype=np.int64),
+            relevance=_relevance(lab, mi),
             qtype=question_type_index(qt),
             source_index=idx,
         ))
@@ -268,7 +271,7 @@ def _batch_losses(batch, params, model_cfg, mode, lam, dropout_rng):
                               train=train_flag, rng=dropout_rng)
     sel_loss = None
     gen_loss = None
-    if mode in ("joint", "two_step_stage1"):
+    if mode in _RELEVANCE_MODES:
         sb = _selector_batch(batch)
         gmat = M.group_matrix(enc["sentence_index"],
                               [pe.model_input.n_sentences for pe in batch])
@@ -314,20 +317,20 @@ def _backward_step(batch, params, model_cfg, mode, lam, dropout_rng,
             gen_l.item() if gen_l is not None else 0.0)
 
 
-def _run_stage(prepared, params, model_cfg, train_cfg, mode, epochs, history,
-               log_fh, order_rng, dropout_rng, label_refresh=None,
-               record_mode=None, step_offset=0) -> int:
+def _run_stage(prepared, params, vocab, model_cfg, train_cfg, mode, epochs,
+               history, log_fh, order_rng, dropout_rng, record_mode=None,
+               step_offset=0) -> int:
     adam = Adam(params, train_cfg.learning_rate, train_cfg.adam_beta1,
                 train_cfg.adam_beta2, train_cfg.adam_eps, train_cfg.weight_decay)
     step = step_offset
     n = len(prepared)
     for epoch in range(epochs):
-        if label_refresh is not None and train_cfg.refresh_labels_each_epoch:
-            fresh = label_refresh(params)
+        if train_cfg.refresh_labels_each_epoch and mode in _RELEVANCE_MODES:
+            # relabel with the encoder as it stands
+            live = ModelEncoderBackend(params, model_cfg, vocab)
+            fresh = label_examples([pe.example for pe in prepared], live, train_cfg.k)
             for pe, lab in zip(prepared, fresh):
-                pe.relevance = np.asarray(
-                    [lab.labels[i] for i in pe.model_input.kept_sentences],
-                    dtype=np.int64)
+                pe.relevance = _relevance(lab, pe.model_input)
         started = time.monotonic()
         order = order_rng.permutation(n)
         sums = {"total": 0.0, "sel": 0.0, "gen": 0.0}
@@ -373,11 +376,22 @@ def selector_keep_indices(probs: np.ndarray, kept_sentences: list[int], k: int) 
 
 def selector_predictions(model_inputs: list[ModelInput], params: M.Parameters,
                          model_cfg: M.ModelConfig) -> list[np.ndarray]:
-    """Relevance probabilities over each input's kept sentences; with
-    selector_keep_indices, the two_step sentence filter (stage 2 and decoding)."""
+    """Relevance probabilities over each input's kept sentences."""
     return [M.selector_forward(M.encoder_forward(mi, params, model_cfg).sentence_vectors,
                                params)
             for mi in model_inputs]
+
+
+def selector_cut(examples: list[QAExample], model_inputs: list[ModelInput],
+                 params: M.Parameters, model_cfg: M.ModelConfig, k: int,
+                 vocab: Vocabulary, max_len: int) -> tuple[list[ModelInput], list]:
+    """The two_step cut of stage 2 and decoding: each example re-assembled over
+    the sentences the selector keeps of its input, and the probabilities."""
+    probs = selector_predictions(model_inputs, params, model_cfg)
+    cut = [assemble_model_input(ex, vocab, max_len,
+                                keep=selector_keep_indices(pr, mi.kept_sentences, k))
+           for ex, mi, pr in zip(examples, model_inputs, probs)]
+    return cut, probs
 
 
 def selector_f1(prepared: list[PreparedExample], probs_per_example: list[np.ndarray]) -> float:
@@ -395,8 +409,7 @@ def selector_f1(prepared: list[PreparedExample], probs_per_example: list[np.ndar
 
 def train(examples: list[QAExample], labels: list[RelevanceLabels],
           qtypes: list[str], vocab: Vocabulary, model_cfg: M.ModelConfig,
-          train_cfg: TrainConfig, log_path: str | None = None,
-          label_refresh=None) -> TrainResult:
+          train_cfg: TrainConfig, log_path: str | None = None) -> TrainResult:
     """Run one training job and return final parameters plus history."""
     model_cfg.validate()
     train_cfg.validate()
@@ -415,36 +428,33 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         if train_cfg.mode == "two_step":
-            steps = _run_stage(prepared, params, model_cfg, train_cfg,
+            steps = _run_stage(prepared, params, vocab, model_cfg, train_cfg,
                                "two_step_stage1", train_cfg.epochs, history,
                                log_fh, order_rng, dropout_rng,
-                               label_refresh=label_refresh,
                                record_mode="two_step:stage1")
-            probs = selector_predictions([pe.model_input for pe in prepared],
-                                         params, model_cfg)
+            # a subset of sentences that fit still fits: the cut drops nothing
+            inputs, probs = selector_cut([pe.example for pe in prepared],
+                                         [pe.model_input for pe in prepared],
+                                         params, model_cfg, train_cfg.k, vocab,
+                                         model_cfg.max_len)
             f1 = selector_f1(prepared, probs)
-            keep = [selector_keep_indices(pr, pe.model_input.kept_sentences, train_cfg.k)
-                    for pe, pr in zip(prepared, probs)]
-            kept_examples = [pe.example for pe in prepared]
-            kept_labels = [labels[pe.source_index] for pe in prepared]
-            kept_qtypes = [QUESTION_TYPES[pe.qtype] for pe in prepared]
-            stage2_prepared, dropped2 = prepare_examples(
-                kept_examples, kept_labels, kept_qtypes, vocab, model_cfg,
-                train_cfg, keep_per_example=keep)
+            stage2 = [replace(pe, model_input=mi,
+                              relevance=_relevance(labels[pe.source_index], mi))
+                      for pe, mi in zip(prepared, inputs)]
             init2_ss, order2_ss = stage2_ss.spawn(2)
             gen_params = M.Parameters.init(model_cfg, seed=init2_ss)
-            steps = _run_stage(stage2_prepared, gen_params, model_cfg, train_cfg,
+            steps = _run_stage(stage2, gen_params, vocab, model_cfg, train_cfg,
                                "generation_only", train_cfg.epochs, history,
                                log_fh, np.random.default_rng(order2_ss),
                                dropout_rng, record_mode="two_step:stage2",
                                step_offset=steps)
             return TrainResult(params=gen_params, history=history,
                                selector_params=params, selector_f1=f1,
-                               dropped=dropped + dropped2, steps=steps)
+                               dropped=dropped, steps=steps)
 
-        steps = _run_stage(prepared, params, model_cfg, train_cfg,
+        steps = _run_stage(prepared, params, vocab, model_cfg, train_cfg,
                            train_cfg.mode, train_cfg.epochs, history, log_fh,
-                           order_rng, dropout_rng, label_refresh=label_refresh)
+                           order_rng, dropout_rng)
         return TrainResult(params=params, history=history, dropped=dropped,
                            steps=steps)
     finally:

@@ -279,6 +279,26 @@ def test_backward_refuses_a_seed_of_another_shape():
     assert t.grad is None
 
 
+def test_backward_copies_the_seed():
+    # add passes a same-shape gradient through, so the seed reaches the leaf
+    t = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    s = np.ones(2)
+    ad.backward(ad.add(t, 1.0), seed=s)
+    s[0] = 5.0
+    assert t.grad.tolist() == [1.0, 1.0]
+    t.grad[1] = 7.0
+    assert s.tolist() == [5.0, 1.0]
+
+
+def test_backward_gives_each_leaf_its_own_grad_array():
+    a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = ad.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    ad.backward(ad.add(a, b))
+    a.grad[0] = 9.0
+    assert b.grad.tolist() == [1.0, 1.0]
+    assert a.grad.tolist() == [9.0, 1.0]
+
+
 def test_no_grad_blocks_graph():
     t = ad.Tensor([1.0], requires_grad=True)
     with ad.no_grad():

@@ -318,6 +318,19 @@ def test_bad_backend_fails_in_label_stage_keeping_partials(tmp_path, pipeline_ru
     assert not (run_dirs[0] / "lock").exists()
 
 
+@pytest.mark.parametrize("name,value", [
+    ("beam_size", 0), ("max_decode_len", 0), ("length_alpha", float("nan")),
+    ("length_alpha", float("inf")), ("length_alpha", -0.5),
+    ("vocab_max_size", 0), ("vocab_min_freq", 0)])
+def test_bad_decode_and_vocab_settings_refused_before_any_stage(tmp_path, pipeline_run,
+                                                                name, value):
+    cfg = make_cfg(tmp_path / "out", pipeline_run["data"])
+    setattr(cfg, name, value)  # assigned after construction, still caught
+    with pytest.raises(ValueError):  # a StageError is not a ValueError
+        H.run_pipeline(cfg)
+    assert not list(tmp_path.glob("out/run-*"))
+
+
 def test_stage_rewraps_failures_and_passes_stage_errors_through():
     with pytest.raises(StageError, match="'vocab'") as exc:
         with H._stage("vocab"):
@@ -399,6 +412,13 @@ def test_compare_modes_needs_two_modes(tmp_path, pipeline_run):
     cfg = make_cfg(tmp_path, pipeline_run["data"])
     with pytest.raises(ValueError, match="two modes"):
         H.compare_modes(cfg, modes=("joint",))
+
+
+def test_compare_modes_refuses_an_unknown_mode_before_any_run(tmp_path, pipeline_run):
+    cfg = make_cfg(tmp_path / "cmp", pipeline_run["data"])
+    with pytest.raises(ValueError, match="'bogus'"):
+        H.compare_modes(cfg, modes=("joint", "bogus"))
+    assert not (tmp_path / "cmp").exists()
 
 
 # ------------------------------------------------------ experiment configs

@@ -1,4 +1,5 @@
 """Losses, optimizer and the training loop across the four modes."""
+import dataclasses
 import json
 import weakref
 
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 from jointqg import autodiff as ad
+from jointqg import decoding as D
 from jointqg import training as T
 from jointqg.autodiff import Tensor
-from jointqg.embedding import BagMeanBackend
+from jointqg.embedding import BagMeanBackend, ModelEncoderBackend
 from jointqg.errors import NumericError
 from jointqg.labeler import RelevanceLabels, label_examples, question_type_of
-from jointqg.model import Parameters
+from jointqg.model import Checkpoint, Parameters
 from jointqg.tokenizer import Vocabulary
 from conftest import small_model_cfg
 from oracles import adam_eager_oracle
@@ -302,14 +304,33 @@ def test_prepare_examples_basic(stall_setup):
         assert pe.relevance.sum() == 1  # k=1 labels survive re-basing
 
 
-def test_prepare_examples_rebases_relevance_to_kept(stall_setup):
+def _record_batches(monkeypatch, mode):
+    """Map source_index to the example last trained on in a `mode` batch."""
+    seen = {}
+    real = T._batch_losses
+
+    def spy(batch, params, model_cfg, batch_mode, lam, dropout_rng):
+        if batch_mode == mode:
+            seen.update((pe.source_index, pe) for pe in batch)
+        return real(batch, params, model_cfg, batch_mode, lam, dropout_rng)
+
+    monkeypatch.setattr(T, "_batch_losses", spy)
+    return seen
+
+
+def test_prepare_examples_rebases_relevance_to_kept(stall_setup, monkeypatch):
+    # two_step stage 2 trains on the prepared examples cut to the sentences
+    # the selector keeps: here a selector that passes the second one only
     examples, labels, qtypes, vocab, cfg = stall_setup
-    keep = [[1] for _ in examples]  # second sentence only
-    prepared, _ = T.prepare_examples(examples, labels, qtypes, vocab, cfg,
-                                     T.TrainConfig(), keep_per_example=keep)
-    for pe, lab in zip(prepared, labels):
-        assert pe.model_input.kept_sentences == [1]
-        assert pe.relevance.tolist() == [lab.labels[1]]
+    monkeypatch.setattr(T, "selector_predictions", lambda inputs, params, model_cfg:
+                        [np.eye(mi.n_sentences)[1] for mi in inputs])
+    stage2 = _record_batches(monkeypatch, "generation_only")
+    T.train(examples, labels, qtypes, vocab, cfg,
+            T.TrainConfig(mode="two_step", epochs=1, batch_size=4, k=1))
+    assert sorted(stage2) == list(range(len(examples)))
+    for i, lab in enumerate(labels):
+        assert stage2[i].model_input.kept_sentences == [1]
+        assert stage2[i].relevance.tolist() == [lab.labels[1]]
 
 
 def test_prepare_examples_drops_overlong():
@@ -531,25 +552,81 @@ def test_stage1_loss_actually_falls(selector_run):
 
 # -------------------------------------------------------- label refresh
 
-def test_refresh_hook_called_once_per_epoch(stall_setup):
+def test_refresh_hook_called_once_per_epoch(stall_setup, monkeypatch):
     examples, labels, qtypes, vocab, cfg = stall_setup
+    own = {ex.document.id: lab for ex, lab in zip(examples, labels)}
     calls = []
 
-    def refresh(params):
-        calls.append(params)
-        return labels[:6]
+    def relabel(exs, backend, k):
+        assert isinstance(backend, ModelEncoderBackend) and k == 1
+        calls.append(len(exs))
+        return [own[ex.document.id] for ex in exs]
 
-    tc = T.TrainConfig(mode="joint", epochs=3, batch_size=4, seed=0, k=1,
-                       refresh_labels_each_epoch=True)
-    T.train(examples[:6], labels[:6], qtypes[:6], vocab, cfg, tc,
-            label_refresh=refresh)
-    assert len(calls) == 3
+    monkeypatch.setattr(T, "label_examples", relabel)
 
-    calls.clear()
-    tc_off = T.TrainConfig(mode="joint", epochs=3, batch_size=4, seed=0, k=1)
-    T.train(examples[:6], labels[:6], qtypes[:6], vocab, cfg, tc_off,
-            label_refresh=refresh)
-    assert calls == []
+    def run(mode, **kw):
+        calls.clear()
+        T.train(examples[:6], labels[:6], qtypes[:6], vocab, cfg,
+                T.TrainConfig(mode=mode, epochs=3, batch_size=4, seed=0, k=1, **kw))
+        return calls
+
+    assert run("joint", refresh_labels_each_epoch=True) == [6, 6, 6]
+    assert run("joint") == []
+    # stages whose loss never reads relevance do not relabel; two_step
+    # relabels in stage 1 only
+    assert run("generation_only", refresh_labels_each_epoch=True) == []
+    assert run("aux_qtc", refresh_labels_each_epoch=True) == []
+    assert run("two_step", refresh_labels_each_epoch=True) == [6, 6, 6]
+
+
+def test_refresh_relabels_each_prepared_example_with_its_own_labels(monkeypatch):
+    # drop-1's 6-token answer cannot fit max_len=8, so only keep-3 is
+    # prepared; its refreshed labels must be its own, not drop-1's
+    long_ans = "very long mineral vein sample rows"
+    a = synth.make_example("drop-1", f"Teams measured {long_ans}. Values ran high.",
+                           "What did teams measure?", long_ans)
+    b = synth.make_example("keep-3", "Boxes filled fast. Crews kept rocks.",
+                           "What was kept?", "rocks")
+    vocab = Vocabulary.build([a, b])
+    cfg = small_model_cfg(len(vocab), max_len=8)
+    first = RelevanceLabels((1, 0), (0.9, 0.1), 1)
+    own = {"drop-1": first, "keep-3": RelevanceLabels((0, 1), (0.1, 0.9), 1)}
+    monkeypatch.setattr(T, "label_examples",
+                        lambda exs, backend, k: [own[ex.document.id] for ex in exs])
+    seen = _record_batches(monkeypatch, "joint")
+    res = T.train([a, b], [first, first], ["what", "what"], vocab, cfg,
+                  T.TrainConfig(mode="joint", epochs=1, k=1,
+                                refresh_labels_each_epoch=True))
+    assert res.dropped == 1 and sorted(seen) == [1]
+    assert seen[1].example.document.id == "keep-3"
+    assert seen[1].model_input.kept_sentences == [1]
+    assert seen[1].relevance.tolist() == [1]
+
+
+def test_stage2_trains_on_the_inputs_generate_serves(monkeypatch):
+    examples, labels, qtypes = synth.selector_examples(n=12)
+    vocab = Vocabulary.build(examples)
+    cfg = small_model_cfg(len(vocab), max_len=96)
+    tc = T.TrainConfig(mode="two_step", epochs=3, learning_rate=2e-3,
+                       weight_decay=0.0, batch_size=4, seed=0, k=2)
+    trained = _record_batches(monkeypatch, "generation_only")
+    res = T.train(examples, labels, qtypes, vocab, cfg, tc)
+
+    served = []
+    real = D.make_scorer
+    monkeypatch.setattr(D, "make_scorer",
+                        lambda ckpt, mi: served.append(mi) or real(ckpt, mi))
+    sha = vocab.sha256()
+    D.generate_predictions(Checkpoint(res.params, cfg, sha), examples, vocab, max_len=1,
+                           selector=Checkpoint(res.selector_params, cfg, sha,
+                                               selector_k=tc.k))
+    assert len(served) == len(trained) == len(examples)
+    for i, mi in enumerate(served):
+        for f in dataclasses.fields(mi):
+            assert np.array_equal(getattr(mi, f.name),
+                                  getattr(trained[i].model_input, f.name)), f.name
+    # the cut is not the identity on this corpus
+    assert any(len(mi.kept_sentences) < 4 for mi in served)
 
 
 # --------------------------------------------------- selector inference
