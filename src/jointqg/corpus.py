@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -26,6 +27,11 @@ _ABBREVIATIONS = frozenset({
     "jr", "sr", "vs", "etc", "inc", "ltd", "co", "corp", "mt", "no",
     "vol", "fig", "al", "ca", "approx", "dept", "est", "min", "max",
 })
+# One candidate boundary: a run of terminators, at most one closing quote,
+# then any whitespace (regex \s and str.isspace agree on every code point).
+# The whitespace holds no terminator, so each search may resume after it.
+_BOUNDARY = re.compile(r"([{}]+[{}]?)\s*".format(
+    re.escape("".join(sorted(_TERMINATORS))), re.escape("".join(sorted(_QUOTES)))))
 
 
 def normalize_text(text: str) -> str:
@@ -115,12 +121,13 @@ def split_sentences(text: str) -> list[SentenceSpan]:
     then an uppercase letter, an opening quote, or a digit. Periods that
     close a known abbreviation or a single capital letter never split.
     Spans are trimmed and jointly cover every non-whitespace character.
+    The text is scanned by one regex from one run of terminators to the
+    next, so Python runs once per candidate boundary, not per character.
     """
     if not isinstance(text, str) or not text:
         raise ValueError("text must be a non-empty string")
     spans: list[SentenceSpan] = []
     start = 0
-    i = 0
     n = len(text)
 
     def emit(lo: int, hi: int) -> None:
@@ -131,30 +138,14 @@ def split_sentences(text: str) -> list[SentenceSpan]:
         if lo < hi:
             spans.append(SentenceSpan(lo, hi))
 
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS:
-            # consume a run of terminators/closing quotes as one boundary
-            j = i + 1
-            while j < n and text[j] in _TERMINATORS:
-                j += 1
-            trailing_quote = j < n and text[j] in _QUOTES
-            if trailing_quote:
-                j += 1
-            if ch == "." and j == i + 1 and not trailing_quote and _is_abbreviation(text, i):
-                i += 1
-                continue
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            if k > j and k < n and (text[k].isupper() or text[k] in _QUOTES or text[k].isdigit()):
-                emit(start, j)
-                start = k
-                i = k
-                continue
-            i = j
+    for m in _BOUNDARY.finditer(text):
+        i, j = m.span(1)  # the terminators and their closing quote
+        k = m.end()  # the first character after the whitespace
+        if j - i == 1 and text[i] == "." and _is_abbreviation(text, i):
             continue
-        i += 1
+        if j < k < n and (text[k].isupper() or text[k] in _QUOTES or text[k].isdigit()):
+            emit(start, j)
+            start = k
     emit(start, n)
     return spans
 
@@ -299,7 +290,18 @@ def example_from_record(rec: dict) -> QAExample:
         idx = int(rec["answer_sentence"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad corpus record: {e}") from e
-    _, multi = align_answer(spans, doc.answer_start, doc.answer_end)
+    for span in spans:
+        if span.end > len(doc.context):
+            raise SchemaError(f"bad corpus record: span [{span.start}, {span.end}) ends "
+                              f"past the {len(doc.context)}-character context")
+    for a, b in zip(spans, spans[1:]):
+        if b.start < a.end:
+            raise SchemaError(f"bad corpus record: span [{b.start}, {b.end}) does not "
+                              f"follow [{a.start}, {a.end})")
+    aligned, multi = align_answer(spans, doc.answer_start, doc.answer_end)
+    if idx != aligned:
+        raise SchemaError(f"bad corpus record: answer_sentence {idx}, but the answer "
+                          f"starts in sentence {aligned}")
     return QAExample(doc, spans, idx, multi)
 
 

@@ -530,14 +530,25 @@ def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
         info.compress_type = zipfile.ZIP_STORED
         return info
 
-    # streamed into the temp file: a whole container in memory would add
-    # its size (~31 MB at V=30k) to peak memory and time to every save
+    # streamed into the temp file entry by entry: the whole container, or
+    # one whole serialised entry, held in memory would add its size (~31 MB,
+    # or ~15 MB for tok_emb at V=30k) to peak memory and time to every save
     with atomic_file(path) as fh, zipfile.ZipFile(fh, "w") as zf:
         zf.writestr(entry("meta.json"), json.dumps(meta, indent=1, sort_keys=True))
         for name, tensor in params.items():
-            buf = io.BytesIO()
-            np.save(buf, tensor.data.astype("<f4"), allow_pickle=False)
-            zf.writestr(entry(f"tensors/{name}.npy"), buf.getvalue())
+            arr = tensor.data.astype("<f4")
+            info = entry(f"tensors/{name}.npy")
+            # the size writestr would set: zf.open decides zip64 from it
+            info.file_size = _npy_size(arr)
+            with zf.open(info, "w") as out:
+                np.save(out, arr, allow_pickle=False)
+
+
+def _npy_size(arr: np.ndarray) -> int:
+    """Bytes ``np.save`` writes for arr: a version 1.0 header, then the data."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
+    return header.tell() + arr.nbytes
 
 
 _READ_CHUNK = 1 << 18  # bytes of a tensor entry read at a time

@@ -74,8 +74,10 @@ class Vocabulary:
             counts.update(tokenize(ex.document.context))
             counts.update(tokenize(ex.document.question))
             counts.update(tokenize(ex.document.answer_text))
-        kept = sorted((t for t, c in counts.items() if c >= min_freq),
-                      key=lambda t: (-counts[t], t))[:max_size]
+        # sort by token, then stably by count: ties keep token order, and
+        # both sorts compare plain strs and ints, no per-type key tuple
+        kept = sorted(sorted(t for t, c in counts.items() if c >= min_freq),
+                      key=counts.__getitem__, reverse=True)[:max_size]
         return cls(list(SPECIAL_TOKENS) + kept)
 
     def encode_tokens(self, tokens: list[str]) -> list[int]:

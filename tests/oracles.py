@@ -246,3 +246,104 @@ def adam_eager_oracle(init, grads_per_step, lr, beta1=0.9, beta2=0.999,
             update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
             data[k] = data[k] - lr * update - weight_decay * data[k]
     return data, m, v
+
+
+# ------------------------------------------------------------ ingestion
+
+def split_sentences_char_scan(text, terminators, quotes, abbreviations):
+    """The sentence splitter as a character-by-character scan, frozen from
+    the package before it moved to a regex. Returns (start, end) pairs."""
+    if not isinstance(text, str) or not text:
+        raise ValueError("text must be a non-empty string")
+
+    def is_abbreviation(period_idx):
+        j = period_idx
+        while j > 0 and text[j - 1].isalpha():
+            j -= 1
+        word = text[j:period_idx]
+        if not word:
+            return False
+        if len(word) == 1 and word.isupper():
+            return True
+        return word.lower() in abbreviations
+
+    spans = []
+
+    def emit(lo, hi):
+        while lo < hi and text[lo].isspace():
+            lo += 1
+        while hi > lo and text[hi - 1].isspace():
+            hi -= 1
+        if lo < hi:
+            spans.append((lo, hi))
+
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in terminators:
+            j = i + 1
+            while j < n and text[j] in terminators:
+                j += 1
+            trailing_quote = j < n and text[j] in quotes
+            if trailing_quote:
+                j += 1
+            if ch == "." and j == i + 1 and not trailing_quote and is_abbreviation(i):
+                i += 1
+                continue
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            if k > j and k < n and (text[k].isupper() or text[k] in quotes or text[k].isdigit()):
+                emit(start, j)
+                start = k
+                i = k
+                continue
+            i = j
+            continue
+        i += 1
+    emit(start, n)
+    return spans
+
+
+def vocab_order_tuple_key(counts, min_freq, max_size):
+    """Tokens with count >= min_freq, most frequent first, ties by token,
+    cut to max_size: one (-count, token) key tuple per type."""
+    return sorted((t for t, c in counts.items() if c >= min_freq),
+                  key=lambda t: (-counts[t], t))[:max_size]
+
+
+# ----------------------------------------------------------- checkpoint
+
+def save_checkpoint_bytesio(path, params, cfg, vocab, step=0, seed=0, selector_k=None):
+    """The checkpoint writer as it was before entries were streamed: each
+    tensor is serialised into a BytesIO and handed to ``writestr`` whole."""
+    import io
+    import json
+    import zipfile
+
+    from jointqg.model import CHECKPOINT_VERSION
+
+    meta = {
+        "version": CHECKPOINT_VERSION,
+        "config": cfg.to_dict(),
+        "vocab_sha256": vocab.sha256(),
+        "step": int(step),
+        "seed": int(seed),
+        "tensors": params.names(),
+    }
+    if selector_k is not None:
+        meta["selector_k"] = int(selector_k)
+
+    def entry(name):
+        info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+        info.compress_type = zipfile.ZIP_STORED
+        return info
+
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        zf.writestr(entry("meta.json"), json.dumps(meta, indent=1, sort_keys=True))
+        for name, tensor in params.items():
+            buf = io.BytesIO()
+            np.save(buf, tensor.data.astype("<f4"), allow_pickle=False)
+            zf.writestr(entry(f"tensors/{name}.npy"), buf.getvalue())

@@ -3,16 +3,18 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointqg.corpus import (
+    _ABBREVIATIONS, _QUOTES, _TERMINATORS,
     AlignmentError, EmptyDatasetError, QAExample, RawDocument, SchemaError,
     align_answer, build_example, load_squad_json, read_corpus_jsonl,
     split_sentences, write_corpus_jsonl,
 )
 
 import synth
+from oracles import split_sentences_char_scan
 
 
 def collapse(s: str) -> str:
@@ -182,6 +184,40 @@ def test_split_covers_any_text(text):
     assert collapse(joined) == collapse(text)
 
 
+# Characters that each rule of the splitter reads: terminators, every quote,
+# ASCII and non-ASCII whitespace, capitals (ASCII, accented, single-letter
+# initials), a titlecase letter that is not upper, ASCII and non-ASCII
+# digits (Arabic-Indic, a superscript that isdigit but not isdecimal).
+_SPLIT_CHARS = sorted(_TERMINATORS | _QUOTES) + list("\t\n\xa0 \u2003\x1c"
+                                                    "ÉAJZǅabzß09٣²")
+
+
+def _mixed_case(word, flips):
+    return "".join(c.upper() if f else c for c, f in zip(word, flips))
+
+
+_SPLIT_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(_SPLIT_CHARS),
+        st.builds(_mixed_case, st.sampled_from(sorted(_ABBREVIATIONS)),
+                  st.lists(st.booleans(), min_size=6, max_size=6)),
+    ),
+    min_size=1, max_size=40,
+).map("".join)
+
+
+@settings(max_examples=400)  # each example takes microseconds
+@given(_SPLIT_TEXT)
+@example("Thomas J. Watson met Dr. Ada. \u201cYes!\u201d 3 cats. ETC. Done.")
+@example("a.'. B")  # the second period starts its own run after the quote
+@example("a.\"' B")  # only one closing quote belongs to a boundary
+@example("a.B c. ² d. ǅ")  # no whitespace; a digit that is not decimal; titlecase
+@example("Hi?!\u2019 \xa0\u0663 x. É")
+def test_split_matches_the_character_scan(text):
+    want = split_sentences_char_scan(text, _TERMINATORS, _QUOTES, _ABBREVIATIONS)
+    assert [(s.start, s.end) for s in split_sentences(text)] == want
+
+
 # ------------------------------------------------------------ alignment
 
 def test_ibm_answer_aligns_to_sentence_one(ibm_example):
@@ -250,4 +286,29 @@ def test_corpus_jsonl_repeated_id_is_refused(tmp_path, tiny_examples):
     first = path.read_text().splitlines()[0]
     path.write_text(path.read_text() + first + "\n")
     with pytest.raises(SchemaError, match=r"corpus.jsonl:3: repeats id .* of line 1"):
+        read_corpus_jsonl(str(path))
+
+
+# A 38-character, three-sentence context with its answer in sentence 2.
+_THREE = synth.make_example("three", "Ann ran. Bob sat down. Cyd ate a pear.",
+                            "What did Cyd eat?", "a pear")
+
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("answer_sentence", 0, r"answer_sentence 0, but the answer starts in sentence 2"),
+    ("sentences", [[0, 8], [9, 22], [25, 380]], r"span \[25, 380\) ends past"),
+    ("sentences", [[9, 22], [0, 8], [23, 38]], r"span \[0, 8\) does not follow \[9, 22\)"),
+    ("sentences", [[0, 10], [9, 22], [23, 38]], r"span \[9, 22\) does not follow \[0, 10\)"),
+], ids=["wrong-answer-sentence", "span-past-context", "spans-out-of-order",
+        "spans-overlap"])
+def test_corpus_jsonl_self_contradicting_record_is_refused(tmp_path, field, value, problem):
+    assert len(_THREE.document.context) == 38
+    assert [[s.start, s.end] for s in _THREE.sentences] == [[0, 8], [9, 22], [23, 38]]
+    assert _THREE.answer_sentence == 2
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl([_THREE], str(path))
+    rec = json.loads(path.read_text())
+    rec[field] = value
+    path.write_text(path.read_text() + json.dumps(rec | {"id": "bad"}) + "\n")
+    with pytest.raises(SchemaError, match=r"corpus.jsonl:2: bad corpus record: " + problem):
         read_corpus_jsonl(str(path))

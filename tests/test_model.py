@@ -15,7 +15,7 @@ from jointqg.decoding import beam_search_nbest, load_selector_beside
 from jointqg.errors import NumericError, SchemaError, VocabMismatchError
 from jointqg.tokenizer import BOS_ID, assemble_model_input, pad_batch
 from conftest import small_model_cfg
-from oracles import grouped_mean_oracle
+from oracles import grouped_mean_oracle, save_checkpoint_bytesio
 from reference_model import (
     params_as_arrays,
     ref_decoder_dist,
@@ -559,6 +559,17 @@ def test_checkpoint_bytes_deterministic(tmp_path, tiny_params, tiny_model_cfg,
             return hashlib.sha256(fh.read()).hexdigest()
 
     assert digest(a) == digest(b)
+
+
+@pytest.mark.parametrize("selector_k", [None, 2])
+def test_checkpoint_bytes_equal_the_whole_entry_writer(tmp_path, tiny_params, tiny_model_cfg,
+                                                      tiny_vocab, selector_k):
+    streamed, whole = tmp_path / "streamed.ckpt", tmp_path / "whole.ckpt"
+    M.save_checkpoint(str(streamed), tiny_params, tiny_model_cfg, tiny_vocab,
+                      step=3, seed=5, selector_k=selector_k)
+    save_checkpoint_bytesio(str(whole), tiny_params, tiny_model_cfg, tiny_vocab,
+                            step=3, seed=5, selector_k=selector_k)
+    assert streamed.read_bytes() == whole.read_bytes()
 
 
 def test_checkpoint_vocab_mismatch(tmp_path, tiny_params, tiny_model_cfg,

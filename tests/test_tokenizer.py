@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jointqg.errors import InputTooLongError, SchemaError
 from jointqg.tokenizer import (
@@ -11,6 +13,7 @@ from jointqg.tokenizer import (
 )
 
 import synth
+from oracles import vocab_order_tuple_key
 
 
 def vocab_of(*texts: str) -> Vocabulary:
@@ -56,6 +59,28 @@ def test_max_size_truncates_by_frequency():
     v = Vocabulary.build([ex], max_size=2)
     assert "x" in v.token_to_id and "y" in v.token_to_id
     assert "z" not in v.token_to_id
+
+
+# Tokens whose str order differs from other plausible orders: digits that
+# sort "10" < "9", a non-ASCII letter, punctuation, prefixes of each other.
+_VOCAB_POOL = ["a", "ab", "b", "10", "9", "\u00e9", "z", ",", "_x", "\u0663"]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.sampled_from(_VOCAB_POOL), min_size=1, max_size=12),
+                min_size=1, max_size=4),
+       st.integers(1, 3), st.integers(1, len(_VOCAB_POOL) + 2))
+@example([["b", "a", "c", "b", "a", "c", "d"]], 1, 2)  # the cut falls inside a tie
+def test_vocab_order_matches_the_tuple_key_sort(contexts, min_freq, max_size):
+    examples = [synth.make_example(f"t{i}", " ".join(words), "?", words[0])
+                for i, words in enumerate(contexts)]
+    counts = Counter()
+    for ex in examples:
+        d = ex.document
+        for text in (d.context, d.question, d.answer_text):
+            counts.update(tokenize(text))
+    v = Vocabulary.build(examples, max_size=max_size, min_freq=min_freq)
+    assert v.id_to_token[N_SPECIALS:] == vocab_order_tuple_key(counts, min_freq, max_size)
 
 
 def test_build_requires_examples():
