@@ -178,7 +178,9 @@ def generate_file(ckpt_path: str, examples: list[QAExample], vocab: Vocabulary,
                   out_path: str, beam_size: int = 1, max_len: int = 32,
                   length_alpha: float = 0.7) -> list[dict]:
     """The generate stage of run_pipeline and ``jointqg generate``: decode with
-    the checkpoint and any selector.ckpt beside it, and write the records."""
+    the checkpoint and any selector.ckpt beside it, and write the records.
+    Bad decode settings are refused before anything is loaded."""
+    check_decode_settings(beam_size, max_len, length_alpha)
     ckpt = load_checkpoint(ckpt_path, expected_vocab=vocab)
     records = generate_predictions(ckpt, examples, vocab, beam_size, max_len,
                                    length_alpha,
@@ -191,6 +193,9 @@ def _checked_prediction(rec, where: str = "") -> dict:
     missing = [f for f in PREDICTION_FIELDS if not isinstance(rec, dict) or f not in rec]
     if missing:
         raise SchemaError(f"{where}prediction record missing {missing}")
+    not_text = [f for f in ("prediction", "gold") if not isinstance(rec[f], str)]
+    if not_text:
+        raise SchemaError(f"{where}prediction record fields {not_text} must be strings")
     return rec
 
 
@@ -201,4 +206,13 @@ def write_predictions_jsonl(records: list[dict], path: str) -> None:
 
 
 def read_predictions_jsonl(path: str) -> list[dict]:
-    return [_checked_prediction(rec, f"{path}:{ln}: ") for ln, rec in read_jsonl(path)]
+    """The records of a predictions file; a repeated id is refused, since
+    scoring would count that example twice."""
+    records, first_line = [], {}
+    for ln, rec in read_jsonl(path):
+        key = str(_checked_prediction(rec, f"{path}:{ln}: ")["id"])
+        if key in first_line:
+            raise SchemaError(f"{path}:{ln}: repeats id {key!r} of line {first_line[key]}")
+        first_line[key] = ln
+        records.append(rec)
+    return records

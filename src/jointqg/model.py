@@ -21,7 +21,7 @@ import json
 import math
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -171,7 +171,6 @@ class EncoderOutput:
     token_states: np.ndarray      # (T, d)
     pooled: np.ndarray            # (d,)
     sentence_vectors: np.ndarray  # (n_sentences, d)
-    model_input: ModelInput = field(repr=False, default=None)
 
 
 def _check_finite(x: Tensor, where: str) -> None:
@@ -407,7 +406,6 @@ def encoder_forward(model_input: ModelInput, p: Parameters, cfg: ModelConfig) ->
         token_states=token_states,
         pooled=pooled.data[0],
         sentence_vectors=reconstruct_sentence_vectors(token_states, model_input.sentence_index),
-        model_input=model_input,
     )
 
 
@@ -530,25 +528,23 @@ def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
         info.compress_type = zipfile.ZIP_STORED
         return info
 
-    # streamed into the temp file entry by entry: the whole container, or
-    # one whole serialised entry, held in memory would add its size (~31 MB,
-    # or ~15 MB for tok_emb at V=30k) to peak memory and time to every save
+    # streamed into the temp file entry by entry, each as np.save writes it
+    # (a version 1.0 header, then the data in the order it declares) but from
+    # arr's own buffer: the container, or a second copy of an entry, in memory
+    # would add its size (~31 MB, or ~15 MB for tok_emb at V=30k) to the peak
     with atomic_file(path) as fh, zipfile.ZipFile(fh, "w") as zf:
         zf.writestr(entry("meta.json"), json.dumps(meta, indent=1, sort_keys=True))
         for name, tensor in params.items():
             arr = tensor.data.astype("<f4")
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, np.lib.format.header_data_from_array_1_0(arr))
             info = entry(f"tensors/{name}.npy")
             # the size writestr would set: zf.open decides zip64 from it
-            info.file_size = _npy_size(arr)
+            info.file_size = header.tell() + arr.nbytes
             with zf.open(info, "w") as out:
-                np.save(out, arr, allow_pickle=False)
-
-
-def _npy_size(arr: np.ndarray) -> int:
-    """Bytes ``np.save`` writes for arr: a version 1.0 header, then the data."""
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
-    return header.tell() + arr.nbytes
+                out.write(header.getvalue())
+                out.write(arr.ravel(order="A").data)
 
 
 _READ_CHUNK = 1 << 18  # bytes of a tensor entry read at a time

@@ -4,9 +4,9 @@ The model consumes one flat id sequence per example:
 
     [CLS] s_0 tokens ... s_{n-1} tokens [SEP] answer tokens [SEP]
 
-plus a per-position sentence ordinal (-1 off context tokens) and an answer
-mask. When the sequence exceeds max_len, whole sentences are dropped
-farthest-first from the answer sentence; the answer segment is never cut.
+plus a per-position sentence ordinal (-1 off context tokens). When the
+sequence exceeds max_len, whole sentences are dropped farthest-first from
+the answer sentence; the answer segment is never cut.
 """
 from __future__ import annotations
 
@@ -129,15 +129,12 @@ class ModelInput:
 
     sentence_index holds the kept-sentence ordinal of each context token and
     -1 elsewhere; kept_sentences maps ordinals back to original sentence
-    indices; answer_ordinal is the ordinal of the answer sentence or -1 if
-    truncation removed it.
+    indices.
     """
 
     token_ids: np.ndarray
     sentence_index: np.ndarray
-    answer_mask: np.ndarray
     kept_sentences: list[int]
-    answer_ordinal: int
 
     @property
     def length(self) -> int:
@@ -198,22 +195,12 @@ def assemble_model_input(example: QAExample, vocab: Vocabulary,
     for ordinal, i in enumerate(kept):
         ids.extend(sent_ids[i])
         ordinals.extend([ordinal] * len(sent_ids[i]))
-    ids.append(SEP_ID)
-    ordinals.append(-1)
-    answer_lo = len(ids)
-    ids.extend(answer_ids)
-    ordinals.extend([-1] * len(answer_ids))
-    ids.append(SEP_ID)
-    ordinals.append(-1)
-
-    mask = np.zeros(len(ids), dtype=np.int64)
-    mask[answer_lo:answer_lo + len(answer_ids)] = 1
+    ids.extend([SEP_ID, *answer_ids, SEP_ID])
+    ordinals.extend([-1] * (len(answer_ids) + 2))
     return ModelInput(
         token_ids=np.asarray(ids, dtype=np.int64),
         sentence_index=np.asarray(ordinals, dtype=np.int64),
-        answer_mask=mask,
         kept_sentences=kept,
-        answer_ordinal=kept.index(ans) if ans in kept else -1,
     )
 
 

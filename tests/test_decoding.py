@@ -1,4 +1,6 @@
 """Greedy and beam decoding against exhaustive enumeration."""
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from jointqg.decoding import (
     beam_search_decode,
     beam_search_nbest,
     decode_example,
+    generate_file,
     generate_predictions,
     greedy_decode,
     make_scorer,
@@ -334,6 +337,38 @@ def test_predictions_jsonl_bad_line_rejected(tmp_path, line, match):
     with pytest.raises(SchemaError, match="pred.jsonl:2: ") as info:
         read_predictions_jsonl(str(path))
     assert info.match(match)
+
+
+def test_predictions_jsonl_repeated_id_rejected(tmp_path):
+    rec = {"id": "a", "prediction": "x", "gold": "y", "beam_size": 1, "score": -1.0}
+    other = dict(rec, id="b")
+    path = tmp_path / "pred.jsonl"
+    write_predictions_jsonl([rec, other, rec], str(path))
+    with pytest.raises(SchemaError, match=r"pred\.jsonl:3: repeats id 'a' of line 1"):
+        read_predictions_jsonl(str(path))
+
+
+@pytest.mark.parametrize("field, value", [("prediction", None), ("gold", 7),
+                                          ("prediction", ["x"])])
+def test_predictions_jsonl_non_string_text_rejected(tmp_path, field, value):
+    path = tmp_path / "pred.jsonl"
+    write_predictions_jsonl([{"id": "a", "prediction": "x", "gold": "y",
+                              "beam_size": 1, "score": -1.0}], str(path))
+    bad = {"id": "b", "prediction": "x", "gold": "y", "beam_size": 1, "score": -1.0,
+           field: value}
+    path.write_text(path.read_text() + json.dumps(bad) + "\n")
+    with pytest.raises(SchemaError, match=rf"pred\.jsonl:2: .*'{field}'.* strings"):
+        read_predictions_jsonl(str(path))
+
+
+@pytest.mark.parametrize("setting", [{"beam_size": 0}, {"max_len": 0},
+                                     {"length_alpha": float("nan")}])
+def test_generate_file_refuses_bad_settings_before_loading(tmp_path, tiny_examples,
+                                                           tiny_vocab, setting):
+    with pytest.raises(ValueError):
+        generate_file(str(tmp_path / "absent.ckpt"), tiny_examples, tiny_vocab,
+                      str(tmp_path / "pred.jsonl"), **setting)
+    assert not (tmp_path / "pred.jsonl").exists()
 
 
 def test_predictions_jsonl_missing_key_rejected(tmp_path):

@@ -301,15 +301,15 @@ def test_encoder_forward_output_shapes(ibm_example, tiny_vocab):
     # max_len must clear the 102-token assembled input or sentences drop
     cfg = small_model_cfg(len(tiny_vocab), max_len=128)
     params = M.Parameters.init(cfg, seed=11)
-    enc = _encoded(ibm_example, tiny_vocab, params, cfg)
-    t = enc.model_input.length
-    assert enc.model_input.n_sentences == 4
+    mi = assemble_model_input(ibm_example, tiny_vocab, max_len=cfg.max_len)
+    enc = M.encoder_forward(mi, params, cfg)
+    t = mi.length
+    assert mi.n_sentences == 4
     assert enc.token_states.shape == (t, cfg.d_model)
     assert enc.pooled.shape == (cfg.d_model,)
     assert enc.sentence_vectors.shape == (4, cfg.d_model)
     assert np.abs(enc.pooled - enc.token_states.mean(axis=0)).max() < 1e-9
-    want = M.reconstruct_sentence_vectors(enc.token_states,
-                                          enc.model_input.sentence_index)
+    want = M.reconstruct_sentence_vectors(enc.token_states, mi.sentence_index)
     assert np.array_equal(enc.sentence_vectors, want)
 
 
@@ -572,6 +572,18 @@ def test_checkpoint_bytes_equal_the_whole_entry_writer(tmp_path, tiny_params, ti
     assert streamed.read_bytes() == whole.read_bytes()
 
 
+def test_checkpoint_fortran_ordered_tensor_saved_as_np_save_writes_it(
+        tmp_path, tiny_params, tiny_model_cfg, tiny_vocab):
+    params = tiny_params.copy()
+    params["sel.w1"].data = np.asfortranarray(params["sel.w1"].data)
+    streamed, whole = tmp_path / "streamed.ckpt", tmp_path / "whole.ckpt"
+    M.save_checkpoint(str(streamed), params, tiny_model_cfg, tiny_vocab)
+    save_checkpoint_bytesio(str(whole), params, tiny_model_cfg, tiny_vocab)
+    assert streamed.read_bytes() == whole.read_bytes()
+    loaded = M.load_checkpoint(str(streamed)).params["sel.w1"].data
+    assert np.array_equal(loaded, params["sel.w1"].data.astype("<f4"))
+
+
 def test_checkpoint_vocab_mismatch(tmp_path, tiny_params, tiny_model_cfg,
                                    tiny_vocab, tiny_examples):
     path = str(tmp_path / "model.ckpt")
@@ -777,15 +789,17 @@ def test_checkpoint_failed_save_leaves_target_untouched(
     if existing:
         M.save_checkpoint(str(path), tiny_params, tiny_model_cfg, tiny_vocab, step=1)
     before = path.read_bytes() if existing else None
-    real_save, calls = np.save, []
+    # each tensor entry starts with its .npy header: fail at the third one,
+    # after two entries are already in the temp file
+    real_header, calls = np.lib.format.write_array_header_1_0, []
 
-    def failing_save(*args, **kwargs):
+    def failing_header(*args, **kwargs):
         calls.append(1)
         if len(calls) == 3:
             raise OSError("disk full")
-        return real_save(*args, **kwargs)
+        return real_header(*args, **kwargs)
 
-    monkeypatch.setattr(np, "save", failing_save)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", failing_header)
     with pytest.raises(OSError, match="disk full"):
         M.save_checkpoint(str(path), tiny_params, tiny_model_cfg, tiny_vocab, step=2)
     assert len(calls) == 3
@@ -884,6 +898,24 @@ def test_checkpoint_load_holds_no_copy_of_an_entry(tmp_path, tiny_vocab):
         tracemalloc.stop()
     tensors = sum(t.data.nbytes for _, t in ckpt.params.items())
     assert peak - tensors < 2 << 20, (peak, tensors)
+
+
+def test_checkpoint_save_holds_one_copy_of_an_entry(tmp_path, tiny_vocab):
+    import tracemalloc
+    # tok_emb and out.w are 4 MB float32 entries, far above every other one
+    cfg = small_model_cfg(1 << 16)
+    params = M.Parameters.init(cfg, seed=2)
+    path = str(tmp_path / "model.ckpt")
+    M.save_checkpoint(path, params, cfg, tiny_vocab)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        M.save_checkpoint(path, params, cfg, tiny_vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = max(t.data.size for _, t in params.items()) * 4
+    # the float32 copy of one entry, not a second copy of it on the way out
+    assert peak < 1.5 * largest, (peak, largest)
 
 
 def test_checkpoint_corrupt_entry_with_a_nan_reads_as_corrupt(tmp_path, tiny_vocab):

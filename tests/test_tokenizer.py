@@ -146,7 +146,7 @@ def test_ibm_input_has_four_ordinals(ibm_example, tiny_vocab):
     mi = assemble_model_input(ibm_example, tiny_vocab, max_len=256)
     ctx_ordinals = set(mi.sentence_index[mi.sentence_index >= 0])
     assert ctx_ordinals == {0, 1, 2, 3}
-    assert mi.answer_ordinal == 1
+    assert mi.kept_sentences.index(ibm_example.answer_sentence) == 1
 
 
 def test_layout_and_masks(ibm_example, tiny_vocab):
@@ -156,11 +156,12 @@ def test_layout_and_masks(ibm_example, tiny_vocab):
     assert ids.count(CLS_ID) == 1
     assert ids.count(SEP_ID) == 2
     assert ids[-1] == SEP_ID
-    n_ans = len(tiny_vocab.encode(ibm_example.document.answer_text))
-    assert int(mi.answer_mask.sum()) == n_ans > 0
-    # answer segment sits between the two SEPs
+    answer_ids = tiny_vocab.encode(ibm_example.document.answer_text)
+    assert answer_ids
+    # answer segment sits between the two SEPs, off every sentence
     first_sep = ids.index(SEP_ID)
-    assert all(mi.answer_mask[first_sep + 1:first_sep + 1 + n_ans] == 1)
+    assert ids[first_sep + 1:-1] == answer_ids
+    assert all(mi.sentence_index[first_sep:] == -1)
 
 
 def test_single_sentence_all_ordinal_zero(tiny_vocab):
@@ -194,7 +195,7 @@ def test_truncation_drops_farthest_sentence_first():
     # room for three sentences only: distances from s1 are (1,0,1,2) -> s3 goes
     trimmed = assemble_model_input(ex, v, max_len=full.length - 1)
     assert trimmed.kept_sentences == [0, 1, 2]
-    assert trimmed.answer_ordinal == 1
+    assert trimmed.kept_sentences.index(ex.answer_sentence) == 1
 
 
 def test_truncation_distance_tie_drops_larger_index():
@@ -211,7 +212,9 @@ def test_answer_segment_never_truncated():
     ex = _four_sentence_example(answer_sentence=0)
     v = Vocabulary.build([ex])
     mi = assemble_model_input(ex, v, max_len=8)
-    assert int(mi.answer_mask.sum()) == 1
+    answer_ids = v.encode(ex.document.answer_text)
+    assert len(answer_ids) == 1
+    assert list(mi.token_ids[-3:]) == [SEP_ID, *answer_ids, SEP_ID]
     with pytest.raises(InputTooLongError):
         long_ans = synth.make_example(
             "la", "One two three four five six seven eight nine ten.",
@@ -223,7 +226,8 @@ def test_keep_filters_sentences(ibm_example, tiny_vocab):
     mi = assemble_model_input(ibm_example, tiny_vocab, keep=[1, 2])
     assert mi.kept_sentences == [1, 2]
     assert set(mi.sentence_index[mi.sentence_index >= 0]) == {0, 1}
-    assert mi.answer_ordinal == 0  # sentence 1 re-based to ordinal 0
+    # the answer sentence 1 is re-based to ordinal 0
+    assert mi.kept_sentences.index(ibm_example.answer_sentence) == 0
 
 
 def test_keep_out_of_range_rejected(ibm_example, tiny_vocab):
