@@ -162,8 +162,8 @@ def generate_predictions(ckpt: Checkpoint, examples: list[QAExample],
     by the same training.selector_cut two_step stage 2 trained on."""
     inputs = [assemble_model_input(ex, vocab, ckpt.config.max_len) for ex in examples]
     if selector is not None:
-        inputs, _ = T.selector_cut(examples, inputs, selector.params, selector.config,
-                                   selector.selector_k, vocab, ckpt.config.max_len)
+        inputs, _ = T.selector_cut(inputs, selector.params, selector.config,
+                                   selector.selector_k)
     records = []
     for ex, mi in zip(examples, inputs):
         best = beam_search_nbest(make_scorer(ckpt, mi), beam_size, max_len,
@@ -179,9 +179,13 @@ def generate_file(ckpt_path: str, examples: list[QAExample], vocab: Vocabulary,
                   length_alpha: float = 0.7) -> list[dict]:
     """The generate stage of run_pipeline and ``jointqg generate``: decode with
     the checkpoint and any selector.ckpt beside it, and write the records.
-    Bad decode settings are refused before anything is loaded."""
+    Bad decode settings are refused before anything is loaded, and a length
+    past the checkpoint's max_len before the selector loads."""
     check_decode_settings(beam_size, max_len, length_alpha)
     ckpt = load_checkpoint(ckpt_path, expected_vocab=vocab)
+    if max_len > ckpt.config.max_len:
+        raise ValueError(f"max_len {max_len} exceeds the checkpoint's max_len "
+                         f"{ckpt.config.max_len}")
     records = generate_predictions(ckpt, examples, vocab, beam_size, max_len,
                                    length_alpha,
                                    selector=load_selector_beside(ckpt_path, vocab))

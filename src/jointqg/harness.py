@@ -31,7 +31,7 @@ from .embedding import BackendSpec, create_backend
 from .errors import SchemaError, StageError
 from .fileio import write_atomic
 from .labeler import label_examples, question_type_of, write_labels_jsonl
-from .tokenizer import Vocabulary, check_vocab_settings
+from .tokenizer import N_SPECIALS, Vocabulary, check_vocab_settings
 
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"vocab_size"}
 # seed and k are set once, at the top level, for every stage
@@ -108,17 +108,23 @@ class ExperimentConfig:
         return cfg
 
     def resolved(self) -> dict:
-        """Full configuration with every default filled in. A bad train,
-        vocabulary or decode setting raises ValueError here, so a run refuses
-        it before its run directory exists."""
+        """Full configuration with every default filled in. A bad model, train,
+        vocabulary or decode setting, or a decode or question length past the
+        model's max_len, raises ValueError here, so a run refuses it before
+        its run directory exists."""
         check_vocab_settings(self.vocab_max_size, self.vocab_min_freq)
         D.check_decode_settings(self.beam_size, self.max_decode_len, self.length_alpha)
+        model_cfg = self.model_config(N_SPECIALS + 1)  # the smallest real vocabulary
+        train_cfg = self.train_config()
+        for name, length in (("max_decode_len", self.max_decode_len),
+                             ("train.max_question_len", train_cfg.max_question_len)):
+            if length > model_cfg.max_len:
+                raise ValueError(f"{name} {length} exceeds model.max_len {model_cfg.max_len}")
         out = dataclasses.asdict(self)
         out["backend"] = dataclasses.asdict(self.backend)
-        model = dataclasses.asdict(M.ModelConfig(vocab_size=0, **self.model))
-        del model["vocab_size"]
-        out["model"] = model
-        out["train"] = dataclasses.asdict(self.train_config())
+        out["model"] = model_cfg.to_dict()
+        del out["model"]["vocab_size"]
+        out["train"] = dataclasses.asdict(train_cfg)
         return out
 
     def config_hash(self) -> str:

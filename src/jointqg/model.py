@@ -53,11 +53,12 @@ class ModelConfig:
     def validate(self) -> None:
         if self.vocab_size < 7:
             raise ValueError("vocab_size must cover the special tokens")
-        if self.d_model < 1 or self.d_model % self.attention_heads != 0:
-            raise ValueError("d_model must be a positive multiple of attention_heads")
+        # counts first: a zero head count must not reach the modulo below
         if min(self.encoder_layers, self.decoder_layers, self.attention_heads,
                self.feedforward_dim, self.selector_hidden) < 1:
             raise ValueError("layer, head and width counts must be positive")
+        if self.d_model < 1 or self.d_model % self.attention_heads != 0:
+            raise ValueError("d_model must be a positive multiple of attention_heads")
         if self.max_len < 8:
             raise ValueError("max_len must be at least 8")
         if not 0.0 <= self.dropout < 1.0:

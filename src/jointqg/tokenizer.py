@@ -144,18 +144,29 @@ class ModelInput:
     def n_sentences(self) -> int:
         return len(self.kept_sentences)
 
+    def restrict(self, keep: list[int]) -> "ModelInput":
+        """This input over the kept sentences whose original indices are in
+        keep, plus the [CLS], [SEP] and answer rows; ordinals are renumbered.
+        A sentence it does not hold raises ValueError."""
+        kept = sorted(set(keep))
+        if not set(kept) <= set(self.kept_sentences):
+            raise ValueError("keep names a sentence this input does not hold")
+        # new ordinal per old one; the extra last slot maps -1 to -1
+        renumber = np.full(self.n_sentences + 1, -1, dtype=np.int64)
+        renumber[[self.kept_sentences.index(i) for i in kept]] = np.arange(len(kept))
+        ordinals = renumber[self.sentence_index]
+        rows = (self.sentence_index < 0) | (ordinals >= 0)
+        return ModelInput(self.token_ids[rows], ordinals[rows], kept)
+
 
 def sentence_token_lists(example: QAExample, vocab: Vocabulary) -> list[list[int]]:
     return [vocab.encode(text) for text in example.sentence_texts()]
 
 
 def assemble_model_input(example: QAExample, vocab: Vocabulary,
-                         max_len: int = 256,
-                         keep: list[int] | None = None) -> ModelInput:
+                         max_len: int = 256) -> ModelInput:
     """Lay out one example as [CLS] context [SEP] answer [SEP].
 
-    `keep` restricts the context to the given sentence indices before any
-    length handling (used when an external selector filters sentences).
     Raises InputTooLongError when even the answer segment cannot fit.
     """
     if max_len < 8:
@@ -165,14 +176,7 @@ def assemble_model_input(example: QAExample, vocab: Vocabulary,
     if not answer_ids:
         raise ValueError(f"{example.document.id}: answer has no tokens")
 
-    n = len(sent_ids)
-    if keep is None:
-        kept = [i for i in range(n) if sent_ids[i]]
-    else:
-        kept = sorted(set(keep))
-        if any(i < 0 or i >= n for i in kept):
-            raise ValueError("keep contains an out-of-range sentence index")
-        kept = [i for i in kept if sent_ids[i]]
+    kept = [i for i, ids in enumerate(sent_ids) if ids]
 
     overhead = 3 + len(answer_ids)  # CLS + SEP + answer + SEP
     if overhead > max_len:

@@ -279,11 +279,6 @@ def _batch_losses(batch, params, model_cfg, mode, lam, dropout_rng):
             raise ValueError("batch holds no sentences to select over")
         probs = M.selector_probs(M.sentence_vectors_from_states(states, gmat), params)
         sel_loss = _selection_loss_t(probs, sb["labels"], sb["mask"])
-    if mode == "aux_qtc":
-        pooled = M.pooled_vector(states, enc["nonpad"].astype(np.float64))
-        qlogits = M.qtype_logits(pooled, params)
-        targets = np.asarray([pe.qtype for pe in batch], dtype=np.int64)
-        sel_loss = _qtype_loss_t(qlogits, targets)
     if mode != "two_step_stage1":
         db = _decoder_batch(batch)
         pooled = M.pooled_vector(states, enc["nonpad"].astype(np.float64))
@@ -291,6 +286,9 @@ def _batch_losses(batch, params, model_cfg, mode, lam, dropout_rng):
         logits = M.decoder_logits(db["dec_in"], memory, mem_bias, params, model_cfg,
                                   train=train_flag, rng=dropout_rng)
         gen_loss = _generation_loss_t(logits, db["targets"], db["nonpad"])
+    if mode == "aux_qtc":  # shares the pooled vector of the branch above
+        targets = np.asarray([pe.qtype for pe in batch], dtype=np.int64)
+        sel_loss = _qtype_loss_t(M.qtype_logits(pooled, params), targets)
 
     if mode == "generation_only":
         total = gen_loss
@@ -317,14 +315,14 @@ def _backward_step(batch, params, model_cfg, mode, lam, dropout_rng,
             gen_l.item() if gen_l is not None else 0.0)
 
 
-def _run_stage(prepared, params, vocab, model_cfg, train_cfg, mode, epochs,
-               history, log_fh, order_rng, dropout_rng, record_mode=None,
+def _run_stage(prepared, params, vocab, model_cfg, train_cfg, mode, history,
+               log_fh, order_rng, dropout_rng, record_mode=None,
                step_offset=0) -> int:
     adam = Adam(params, train_cfg.learning_rate, train_cfg.adam_beta1,
                 train_cfg.adam_beta2, train_cfg.adam_eps, train_cfg.weight_decay)
     step = step_offset
     n = len(prepared)
-    for epoch in range(epochs):
+    for epoch in range(train_cfg.epochs):
         if train_cfg.refresh_labels_each_epoch and mode in _RELEVANCE_MODES:
             # relabel with the encoder as it stands
             live = ModelEncoderBackend(params, model_cfg, vocab)
@@ -382,15 +380,13 @@ def selector_predictions(model_inputs: list[ModelInput], params: M.Parameters,
             for mi in model_inputs]
 
 
-def selector_cut(examples: list[QAExample], model_inputs: list[ModelInput],
-                 params: M.Parameters, model_cfg: M.ModelConfig, k: int,
-                 vocab: Vocabulary, max_len: int) -> tuple[list[ModelInput], list]:
-    """The two_step cut of stage 2 and decoding: each example re-assembled over
-    the sentences the selector keeps of its input, and the probabilities."""
+def selector_cut(model_inputs: list[ModelInput], params: M.Parameters,
+                 model_cfg: M.ModelConfig, k: int) -> tuple[list[ModelInput], list]:
+    """The two_step cut of stage 2 and decoding: each input restricted to the
+    sentences the selector keeps of it, and the probabilities."""
     probs = selector_predictions(model_inputs, params, model_cfg)
-    cut = [assemble_model_input(ex, vocab, max_len,
-                                keep=selector_keep_indices(pr, mi.kept_sentences, k))
-           for ex, mi, pr in zip(examples, model_inputs, probs)]
+    cut = [mi.restrict(selector_keep_indices(pr, mi.kept_sentences, k))
+           for mi, pr in zip(model_inputs, probs)]
     return cut, probs
 
 
@@ -429,14 +425,10 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
     try:
         if train_cfg.mode == "two_step":
             steps = _run_stage(prepared, params, vocab, model_cfg, train_cfg,
-                               "two_step_stage1", train_cfg.epochs, history,
-                               log_fh, order_rng, dropout_rng,
-                               record_mode="two_step:stage1")
-            # a subset of sentences that fit still fits: the cut drops nothing
-            inputs, probs = selector_cut([pe.example for pe in prepared],
-                                         [pe.model_input for pe in prepared],
-                                         params, model_cfg, train_cfg.k, vocab,
-                                         model_cfg.max_len)
+                               "two_step_stage1", history, log_fh, order_rng,
+                               dropout_rng, record_mode="two_step:stage1")
+            inputs, probs = selector_cut([pe.model_input for pe in prepared],
+                                         params, model_cfg, train_cfg.k)
             f1 = selector_f1(prepared, probs)
             stage2 = [replace(pe, model_input=mi,
                               relevance=_relevance(labels[pe.source_index], mi))
@@ -444,17 +436,15 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
             init2_ss, order2_ss = stage2_ss.spawn(2)
             gen_params = M.Parameters.init(model_cfg, seed=init2_ss)
             steps = _run_stage(stage2, gen_params, vocab, model_cfg, train_cfg,
-                               "generation_only", train_cfg.epochs, history,
-                               log_fh, np.random.default_rng(order2_ss),
-                               dropout_rng, record_mode="two_step:stage2",
-                               step_offset=steps)
+                               "generation_only", history, log_fh,
+                               np.random.default_rng(order2_ss), dropout_rng,
+                               record_mode="two_step:stage2", step_offset=steps)
             return TrainResult(params=gen_params, history=history,
                                selector_params=params, selector_f1=f1,
                                dropped=dropped, steps=steps)
 
         steps = _run_stage(prepared, params, vocab, model_cfg, train_cfg,
-                           train_cfg.mode, train_cfg.epochs, history, log_fh,
-                           order_rng, dropout_rng)
+                           train_cfg.mode, history, log_fh, order_rng, dropout_rng)
         return TrainResult(params=params, history=history, dropped=dropped,
                            steps=steps)
     finally:

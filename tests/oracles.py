@@ -314,6 +314,41 @@ def vocab_order_tuple_key(counts, min_freq, max_size):
                   key=lambda t: (-counts[t], t))[:max_size]
 
 
+def assemble_over_keep(example, vocab, max_len, keep):
+    """The model-input assembly with its ``keep=`` option, frozen from the
+    package before the two_step cut became a slice of the assembled input:
+    the example is tokenised again over the sentences in keep, then laid
+    out and truncated as usual."""
+    from jointqg.errors import InputTooLongError
+    from jointqg.tokenizer import CLS_ID, SEP_ID, ModelInput
+
+    if max_len < 8:
+        raise ValueError("max_len must be at least 8")
+    sent_ids = [vocab.encode(text) for text in example.sentence_texts()]
+    answer_ids = vocab.encode(example.document.answer_text)
+    if not answer_ids:
+        raise ValueError(f"{example.document.id}: answer has no tokens")
+    n = len(sent_ids)
+    kept = sorted(set(keep))
+    if any(i < 0 or i >= n for i in kept):
+        raise ValueError("keep contains an out-of-range sentence index")
+    kept = [i for i in kept if sent_ids[i]]
+    overhead = 3 + len(answer_ids)
+    if overhead > max_len:
+        raise InputTooLongError(f"{example.document.id}: answer segment too long")
+    ans = example.answer_sentence
+    while kept and overhead + sum(len(sent_ids[i]) for i in kept) > max_len:
+        kept.remove(max(kept, key=lambda i: (abs(i - ans), i)))
+    ids, ordinals = [CLS_ID], [-1]
+    for ordinal, i in enumerate(kept):
+        ids.extend(sent_ids[i])
+        ordinals.extend([ordinal] * len(sent_ids[i]))
+    ids.extend([SEP_ID, *answer_ids, SEP_ID])
+    ordinals.extend([-1] * (len(answer_ids) + 2))
+    return ModelInput(np.asarray(ids, dtype=np.int64),
+                      np.asarray(ordinals, dtype=np.int64), kept)
+
+
 # ----------------------------------------------------------- checkpoint
 
 def save_checkpoint_bytesio(path, params, cfg, vocab, step=0, seed=0, selector_k=None):

@@ -17,6 +17,7 @@ from jointqg.decoding import (
     write_predictions_jsonl,
 )
 from jointqg.errors import NumericError, SchemaError
+from jointqg.model import save_checkpoint
 from jointqg.tokenizer import assemble_model_input
 from conftest import rng_scorer
 from oracles import beam_nbest_tuple_sort, best_decode_oracle, enumerate_decodes
@@ -368,6 +369,18 @@ def test_generate_file_refuses_bad_settings_before_loading(tmp_path, tiny_exampl
     with pytest.raises(ValueError):
         generate_file(str(tmp_path / "absent.ckpt"), tiny_examples, tiny_vocab,
                       str(tmp_path / "pred.jsonl"), **setting)
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_generate_file_refuses_a_length_past_the_checkpoint(tmp_path, tiny_examples,
+                                                           tiny_vocab, tiny_checkpoint):
+    ckpt_path = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt_path, tiny_checkpoint.params, tiny_checkpoint.config, tiny_vocab)
+    (tmp_path / "selector.ckpt").write_bytes(b"not a checkpoint")  # never read
+    limit = tiny_checkpoint.config.max_len
+    with pytest.raises(ValueError, match=f"max_len {limit + 1} exceeds .* {limit}"):
+        generate_file(ckpt_path, tiny_examples, tiny_vocab, str(tmp_path / "pred.jsonl"),
+                      max_len=limit + 1)
     assert not (tmp_path / "pred.jsonl").exists()
 
 

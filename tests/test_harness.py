@@ -331,6 +331,29 @@ def test_bad_decode_and_vocab_settings_refused_before_any_stage(tmp_path, pipeli
     assert not list(tmp_path.glob("out/run-*"))
 
 
+@pytest.mark.parametrize("model_kw, decode_len, train_kw", [
+    ({"d_model": 10, "attention_heads": 4}, 8, {}),
+    ({"attention_heads": 0}, 8, {}),
+    ({}, 200, {}),  # SMALL_MODEL's max_len is 128
+    ({"max_len": 10}, 8, {"mode": "generation_only", "max_question_len": 200})],
+    ids=["d_model_not_a_multiple_of_heads", "zero_heads", "decode_past_max_len",
+         "question_past_max_len"])
+def test_bad_model_settings_and_lengths_refused_before_any_stage(
+        tmp_path, pipeline_run, model_kw, decode_len, train_kw):
+    cfg = make_cfg(tmp_path / "out", pipeline_run["data"], **train_kw)
+    cfg.model.update(model_kw)
+    cfg.max_decode_len = decode_len
+    with pytest.raises(ValueError):  # a StageError is not a ValueError
+        H.run_pipeline(cfg)
+    assert not list(tmp_path.glob("out/run-*"))
+
+
+def test_lengths_up_to_max_len_accepted(tmp_path, pipeline_run):
+    cfg = make_cfg(tmp_path, pipeline_run["data"], max_question_len=10)
+    cfg.model["max_len"] = cfg.max_decode_len = 10
+    assert cfg.resolved()["model"]["max_len"] == 10
+
+
 def test_stage_rewraps_failures_and_passes_stage_errors_through():
     with pytest.raises(StageError, match="'vocab'") as exc:
         with H._stage("vocab"):

@@ -13,7 +13,7 @@ from jointqg.tokenizer import (
 )
 
 import synth
-from oracles import vocab_order_tuple_key
+from oracles import assemble_over_keep, vocab_order_tuple_key
 
 
 def vocab_of(*texts: str) -> Vocabulary:
@@ -223,7 +223,7 @@ def test_answer_segment_never_truncated():
 
 
 def test_keep_filters_sentences(ibm_example, tiny_vocab):
-    mi = assemble_model_input(ibm_example, tiny_vocab, keep=[1, 2])
+    mi = assemble_model_input(ibm_example, tiny_vocab).restrict([1, 2])
     assert mi.kept_sentences == [1, 2]
     assert set(mi.sentence_index[mi.sentence_index >= 0]) == {0, 1}
     # the answer sentence 1 is re-based to ordinal 0
@@ -232,7 +232,41 @@ def test_keep_filters_sentences(ibm_example, tiny_vocab):
 
 def test_keep_out_of_range_rejected(ibm_example, tiny_vocab):
     with pytest.raises(ValueError):
-        assemble_model_input(ibm_example, tiny_vocab, keep=[9])
+        assemble_model_input(ibm_example, tiny_vocab).restrict([9])
+
+
+def test_restrict_refuses_a_sentence_truncation_dropped():
+    ex = _four_sentence_example(answer_sentence=1)
+    v = Vocabulary.build([ex])
+    trimmed = assemble_model_input(ex, v, max_len=assemble_model_input(ex, v).length - 1)
+    assert trimmed.kept_sentences == [0, 1, 2]
+    with pytest.raises(ValueError, match="does not hold"):
+        trimmed.restrict([1, 3])
+
+
+_RESTRICT_POOL = (synth.selector_examples(n=8)[0] + synth.sweep_examples(4)
+                  + synth.memorization_examples()[:4]
+                  + [_four_sentence_example(a) for a in range(4)])
+_RESTRICT_VOCAB = Vocabulary.build(_RESTRICT_POOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_restrict_equals_reassembly_over_keep(data):
+    ex = data.draw(st.sampled_from(_RESTRICT_POOL))
+    full = assemble_model_input(ex, _RESTRICT_VOCAB)
+    overhead = int(np.sum(full.sentence_index < 0))
+    # from the answer segment alone up to the full length: most draws truncate
+    max_len = data.draw(st.integers(max(8, overhead), full.length))
+    mi = assemble_model_input(ex, _RESTRICT_VOCAB, max_len)
+    keep = (data.draw(st.lists(st.sampled_from(mi.kept_sentences), max_size=6))
+            if mi.kept_sentences else [])
+    cut = mi.restrict(keep)
+    want = assemble_over_keep(ex, _RESTRICT_VOCAB, max_len, keep)
+    for f in ("token_ids", "sentence_index"):
+        got, expected = getattr(cut, f), getattr(want, f)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), f
+    assert cut.kept_sentences == want.kept_sentences
 
 
 # ------------------------------------------------------------ batching
