@@ -19,10 +19,11 @@ import sys
 from . import corpus as C
 from . import decoding as D
 from . import metrics as MX
-from .embedding import BackendSpec, create_backend
+from .embedding import BACKEND_KINDS, BackendSpec, create_backend
 from .harness import ExperimentConfig, compare_modes, run_pipeline, sweep_top_k
 from .labeler import label_examples, write_labels_jsonl
 from .tokenizer import Vocabulary
+from .training import TRAIN_MODES
 
 
 # ExperimentConfig.with_overrides keys, each the dest of one override flag
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="corpus JSONL from prepare")
     p.add_argument("--out", required=True, help="labels JSONL to write")
     p.add_argument("--backend", default="bag_mean",
-                   choices=["bag_mean", "precomputed_file"],
+                   choices=[k for k in BACKEND_KINDS if k != "model_encoder"],
                    help="embedding backend (model_encoder needs a full run)")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
@@ -57,13 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run the full pipeline from a config")
     _add_config_overrides(p)
-    p.add_argument("--mode", default=None,
-                   choices=["joint", "generation_only", "two_step", "aux_qtc"])
+    p.add_argument("--mode", default=None, choices=TRAIN_MODES)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--lambda", dest="lambda_weight", type=float, default=None)
     p.add_argument("--beam", dest="beam_size", type=int, default=None)
-    p.add_argument("--backend", default=None,
-                   choices=["bag_mean", "precomputed_file", "model_encoder"])
+    p.add_argument("--backend", default=None, choices=BACKEND_KINDS)
 
     p = sub.add_parser("generate", help="decode a corpus with a checkpoint")
     p.add_argument("checkpoint")

@@ -142,14 +142,25 @@ def decode_example(ckpt: Checkpoint, model_input: ModelInput, beam_size: int = 1
                               length_alpha)
 
 
-def load_selector_beside(ckpt_path: str, vocab: Vocabulary) -> Checkpoint | None:
-    """The two_step selector saved beside a generator checkpoint, if any."""
+def _check_selector_fits(ckpt: Checkpoint, selector: Checkpoint, where: str) -> None:
+    """Refuse a selector too short for the inputs the generator is given:
+    each is assembled at the generator's max_len."""
+    if selector.config.max_len < ckpt.config.max_len:
+        raise ValueError(f"{where}: selector max_len {selector.config.max_len} is below "
+                         f"the generator's max_len {ckpt.config.max_len}")
+
+
+def load_selector_beside(ckpt_path: str, vocab: Vocabulary,
+                         generator: Checkpoint) -> Checkpoint | None:
+    """The two_step selector saved beside a generator checkpoint, if any;
+    one too short for the generator's inputs is refused."""
     path = os.path.join(os.path.dirname(ckpt_path), SELECTOR_CHECKPOINT)
     if not os.path.exists(path):
         return None
     selector = load_checkpoint(path, expected_vocab=vocab)
     if selector.selector_k is None or selector.selector_k < 1:
         raise SchemaError(f"{path}: selector checkpoint does not record a positive k")
+    _check_selector_fits(generator, selector, path)
     return selector
 
 
@@ -160,6 +171,8 @@ def generate_predictions(ckpt: Checkpoint, examples: list[QAExample],
     """Decode each example into an {id, prediction, gold, beam_size, score}
     record. A selector first cuts each context to the sentences it keeps,
     by the same training.selector_cut two_step stage 2 trained on."""
+    if selector is not None:
+        _check_selector_fits(ckpt, selector, "generate")
     inputs = [assemble_model_input(ex, vocab, ckpt.config.max_len) for ex in examples]
     if selector is not None:
         inputs, _ = T.selector_cut(inputs, selector.params, selector.config,
@@ -179,8 +192,9 @@ def generate_file(ckpt_path: str, examples: list[QAExample], vocab: Vocabulary,
                   length_alpha: float = 0.7) -> list[dict]:
     """The generate stage of run_pipeline and ``jointqg generate``: decode with
     the checkpoint and any selector.ckpt beside it, and write the records.
-    Bad decode settings are refused before anything is loaded, and a length
-    past the checkpoint's max_len before the selector loads."""
+    Bad decode settings are refused before anything is loaded, a length past
+    the checkpoint's max_len before the selector loads, and a selector whose
+    max_len is below the checkpoint's before any input is encoded."""
     check_decode_settings(beam_size, max_len, length_alpha)
     ckpt = load_checkpoint(ckpt_path, expected_vocab=vocab)
     if max_len > ckpt.config.max_len:
@@ -188,7 +202,7 @@ def generate_file(ckpt_path: str, examples: list[QAExample], vocab: Vocabulary,
                          f"{ckpt.config.max_len}")
     records = generate_predictions(ckpt, examples, vocab, beam_size, max_len,
                                    length_alpha,
-                                   selector=load_selector_beside(ckpt_path, vocab))
+                                   selector=load_selector_beside(ckpt_path, vocab, ckpt))
     write_predictions_jsonl(records, out_path)
     return records
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import SchemaError
 
+BACKEND_KINDS = ("bag_mean", "precomputed_file", "model_encoder")
+
 
 @dataclass(frozen=True)
 class BackendSpec:
@@ -32,7 +34,7 @@ class BackendSpec:
     source: str | None = None  # path for precomputed_file
 
     def validate(self) -> None:
-        if self.kind not in ("bag_mean", "precomputed_file", "model_encoder"):
+        if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown embedding backend '{self.kind}'")
         if self.kind == "bag_mean" and self.dim < 1:
             raise ValueError("dim must be positive")

@@ -252,6 +252,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
                 "data_sha256": data_hash,
                 "vocab_size": len(vocab),
                 "selector_f1": result.selector_f1,
+                "train_dropped": result.dropped,
             })
     return report, run_dir
 

@@ -208,22 +208,24 @@ def assemble_model_input(example: QAExample, vocab: Vocabulary,
     )
 
 
+def pad_rows(rows, fill, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad rows with fill into one (B, max(longest, 1)) array; returns
+    it with the int64 mask that is 1 on real entries and 0 on padding."""
+    if not rows:
+        raise ValueError("empty batch")
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    real = np.arange(max(int(lengths.max()), 1)) < lengths[:, None]
+    padded = np.full(real.shape, fill, dtype=dtype)
+    padded[real] = np.concatenate(rows)
+    return padded, real.astype(np.int64)
+
+
 def pad_batch(inputs: list[ModelInput]) -> dict[str, np.ndarray]:
     """Right-pad a list of ModelInputs into dense (B, T) arrays.
 
     Returns token_ids, nonpad (1 on real tokens) and sentence_index (-1 on
     padding).
     """
-    if not inputs:
-        raise ValueError("empty batch")
-    tmax = max(mi.length for mi in inputs)
-    bsz = len(inputs)
-    ids = np.full((bsz, tmax), PAD_ID, dtype=np.int64)
-    nonpad = np.zeros((bsz, tmax), dtype=np.int64)
-    sent = np.full((bsz, tmax), -1, dtype=np.int64)
-    for b, mi in enumerate(inputs):
-        t = mi.length
-        ids[b, :t] = mi.token_ids
-        nonpad[b, :t] = 1
-        sent[b, :t] = mi.sentence_index
-    return {"token_ids": ids, "nonpad": nonpad, "sentence_index": sent}
+    token_ids, nonpad = pad_rows([mi.token_ids for mi in inputs], PAD_ID)
+    sentence_index, _ = pad_rows([mi.sentence_index for mi in inputs], -1)
+    return {"token_ids": token_ids, "nonpad": nonpad, "sentence_index": sentence_index}

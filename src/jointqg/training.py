@@ -30,7 +30,7 @@ from .embedding import ModelEncoderBackend
 from .errors import InputTooLongError, NumericError
 from .labeler import RelevanceLabels, label_examples, question_type_index, rank_sentences
 from .tokenizer import (BOS_ID, EOS_ID, PAD_ID, ModelInput, Vocabulary,
-                        assemble_model_input, pad_batch)
+                        assemble_model_input, pad_batch, pad_rows)
 
 _PROB_CLAMP = 1e-7
 
@@ -225,33 +225,6 @@ def prepare_examples(examples: list[QAExample], labels: list[RelevanceLabels],
     return prepared, dropped
 
 
-def _decoder_batch(batch: list[PreparedExample]) -> dict[str, np.ndarray]:
-    u = max(len(pe.gold_ids) for pe in batch)
-    bsz = len(batch)
-    dec_in = np.full((bsz, u), PAD_ID, dtype=np.int64)
-    targets = np.full((bsz, u), PAD_ID, dtype=np.int64)
-    nonpad = np.zeros((bsz, u))
-    for b, pe in enumerate(batch):
-        n = len(pe.gold_ids)
-        dec_in[b, 0] = BOS_ID
-        dec_in[b, 1:n] = pe.gold_ids[:-1]
-        targets[b, :n] = pe.gold_ids
-        nonpad[b, :n] = 1.0
-    return {"dec_in": dec_in, "targets": targets, "nonpad": nonpad}
-
-
-def _selector_batch(batch: list[PreparedExample]) -> dict[str, np.ndarray]:
-    smax = max(pe.model_input.n_sentences for pe in batch)
-    bsz = len(batch)
-    labels = np.zeros((bsz, max(smax, 1)))
-    mask = np.zeros((bsz, max(smax, 1)))
-    for b, pe in enumerate(batch):
-        n = pe.model_input.n_sentences
-        labels[b, :n] = pe.relevance
-        mask[b, :n] = 1.0
-    return {"labels": labels, "mask": mask}
-
-
 @dataclass
 class TrainResult:
     params: M.Parameters
@@ -272,23 +245,26 @@ def _batch_losses(batch, params, model_cfg, mode, lam, dropout_rng):
     sel_loss = None
     gen_loss = None
     if mode in _RELEVANCE_MODES:
-        sb = _selector_batch(batch)
+        labels, sel_mask = pad_rows([pe.relevance for pe in batch], 0)
+        if not sel_mask.any():
+            raise ValueError("batch holds no sentences to select over")
         gmat = M.group_matrix(enc["sentence_index"],
                               [pe.model_input.n_sentences for pe in batch])
-        if sb["mask"].sum() == 0:
-            raise ValueError("batch holds no sentences to select over")
         probs = M.selector_probs(M.sentence_vectors_from_states(states, gmat), params)
-        sel_loss = _selection_loss_t(probs, sb["labels"], sb["mask"])
+        sel_loss = _selection_loss_t(probs, labels, sel_mask)
     if mode != "two_step_stage1":
-        db = _decoder_batch(batch)
-        pooled = M.pooled_vector(states, enc["nonpad"].astype(np.float64))
+        targets, gen_mask = pad_rows([pe.gold_ids for pe in batch], PAD_ID)
+        # teacher forcing: BOS, then each real target but the last
+        dec_in = np.full_like(targets, BOS_ID)
+        dec_in[:, 1:] = np.where(gen_mask[:, 1:], targets[:, :-1], PAD_ID)
+        pooled = M.pooled_vector(states, enc["nonpad"])
         memory, mem_bias = M.conditioning_memory(states, pooled, enc["nonpad"], model_cfg)
-        logits = M.decoder_logits(db["dec_in"], memory, mem_bias, params, model_cfg,
+        logits = M.decoder_logits(dec_in, memory, mem_bias, params, model_cfg,
                                   train=train_flag, rng=dropout_rng)
-        gen_loss = _generation_loss_t(logits, db["targets"], db["nonpad"])
+        gen_loss = _generation_loss_t(logits, targets, gen_mask)
     if mode == "aux_qtc":  # shares the pooled vector of the branch above
-        targets = np.asarray([pe.qtype for pe in batch], dtype=np.int64)
-        sel_loss = _qtype_loss_t(M.qtype_logits(pooled, params), targets)
+        qtypes = np.asarray([pe.qtype for pe in batch], dtype=np.int64)
+        sel_loss = _qtype_loss_t(M.qtype_logits(pooled, params), qtypes)
 
     if mode == "generation_only":
         total = gen_loss

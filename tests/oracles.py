@@ -382,3 +382,59 @@ def save_checkpoint_bytesio(path, params, cfg, vocab, step=0, seed=0, selector_k
             buf = io.BytesIO()
             np.save(buf, tensor.data.astype("<f4"), allow_pickle=False)
             zf.writestr(entry(f"tensors/{name}.npy"), buf.getvalue())
+
+
+# ------------------------------------------------------------ batching
+
+def pad_batch_loop(inputs):
+    """The encoder-batch padder as it was before every batch array came from
+    one padding routine: one Python loop over the inputs."""
+    from jointqg.tokenizer import PAD_ID
+
+    if not inputs:
+        raise ValueError("empty batch")
+    tmax = max(mi.length for mi in inputs)
+    bsz = len(inputs)
+    ids = np.full((bsz, tmax), PAD_ID, dtype=np.int64)
+    nonpad = np.zeros((bsz, tmax), dtype=np.int64)
+    sent = np.full((bsz, tmax), -1, dtype=np.int64)
+    for b, mi in enumerate(inputs):
+        t = mi.length
+        ids[b, :t] = mi.token_ids
+        nonpad[b, :t] = 1
+        sent[b, :t] = mi.sentence_index
+    return {"token_ids": ids, "nonpad": nonpad, "sentence_index": sent}
+
+
+def decoder_batch_loop(batch):
+    """Teacher-forcing arrays of a batch of prepared examples, frozen from the
+    training loop's own padder: dec_in is BOS plus the gold ids but the last,
+    with a float 0/1 mask."""
+    from jointqg.tokenizer import BOS_ID, PAD_ID
+
+    u = max(len(pe.gold_ids) for pe in batch)
+    bsz = len(batch)
+    dec_in = np.full((bsz, u), PAD_ID, dtype=np.int64)
+    targets = np.full((bsz, u), PAD_ID, dtype=np.int64)
+    nonpad = np.zeros((bsz, u))
+    for b, pe in enumerate(batch):
+        n = len(pe.gold_ids)
+        dec_in[b, 0] = BOS_ID
+        dec_in[b, 1:n] = pe.gold_ids[:-1]
+        targets[b, :n] = pe.gold_ids
+        nonpad[b, :n] = 1.0
+    return {"dec_in": dec_in, "targets": targets, "nonpad": nonpad}
+
+
+def selector_batch_loop(batch):
+    """Relevance labels and float mask of a batch, frozen from the training
+    loop's own padder; at least one column even with no sentence at all."""
+    smax = max(pe.model_input.n_sentences for pe in batch)
+    bsz = len(batch)
+    labels = np.zeros((bsz, max(smax, 1)))
+    mask = np.zeros((bsz, max(smax, 1)))
+    for b, pe in enumerate(batch):
+        n = pe.model_input.n_sentences
+        labels[b, :n] = pe.relevance
+        mask[b, :n] = 1.0
+    return {"labels": labels, "mask": mask}

@@ -1,4 +1,5 @@
 """Greedy and beam decoding against exhaustive enumeration."""
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +18,8 @@ from jointqg.decoding import (
     write_predictions_jsonl,
 )
 from jointqg.errors import NumericError, SchemaError
-from jointqg.model import save_checkpoint
+from jointqg import model as M
+from jointqg.model import Checkpoint, Parameters, save_checkpoint
 from jointqg.tokenizer import assemble_model_input
 from conftest import rng_scorer
 from oracles import beam_nbest_tuple_sort, best_decode_oracle, enumerate_decodes
@@ -381,6 +383,31 @@ def test_generate_file_refuses_a_length_past_the_checkpoint(tmp_path, tiny_examp
     with pytest.raises(ValueError, match=f"max_len {limit + 1} exceeds .* {limit}"):
         generate_file(ckpt_path, tiny_examples, tiny_vocab, str(tmp_path / "pred.jsonl"),
                       max_len=limit + 1)
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_generate_refuses_a_selector_shorter_than_the_generator(
+        tmp_path, monkeypatch, ibm_example, tiny_vocab, tiny_checkpoint):
+    # each input is assembled at the generator's max_len, which a shorter
+    # selector cannot encode: both checkpoints are named before any encoding
+    short_cfg = dataclasses.replace(tiny_checkpoint.config, max_len=16)
+    short = Checkpoint(Parameters.init(short_cfg, seed=0), short_cfg,
+                       tiny_vocab.sha256(), selector_k=2)
+
+    def no_encoding(*args, **kw):
+        raise AssertionError("an input was encoded")
+
+    monkeypatch.setattr(M, "encoder_states", no_encoding)
+    limit = tiny_checkpoint.config.max_len
+    with pytest.raises(ValueError, match=f"selector max_len 16 is below .* max_len {limit}"):
+        generate_predictions(tiny_checkpoint, [ibm_example], tiny_vocab, selector=short)
+
+    ckpt_path = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt_path, tiny_checkpoint.params, tiny_checkpoint.config, tiny_vocab)
+    save_checkpoint(str(tmp_path / "selector.ckpt"), short.params, short_cfg, tiny_vocab,
+                    selector_k=2)
+    with pytest.raises(ValueError, match=rf"selector\.ckpt: selector max_len 16 .* {limit}"):
+        generate_file(ckpt_path, [ibm_example], tiny_vocab, str(tmp_path / "pred.jsonl"))
     assert not (tmp_path / "pred.jsonl").exists()
 
 

@@ -4,6 +4,7 @@ Runs here use a deliberately tiny model so every stage finishes in seconds.
 Assertions target the artifact contracts: what lands on disk, how it reads
 back, and how failures surface. Model quality is covered elsewhere.
 """
+import argparse
 import csv
 import hashlib
 import json
@@ -13,13 +14,14 @@ import pytest
 
 from jointqg import harness as H
 from jointqg import model as M
-from jointqg.cli import main as cli_main
+from jointqg.cli import build_parser, main as cli_main
 from jointqg.corpus import load_squad_json, read_corpus_jsonl
 from jointqg.decoding import read_predictions_jsonl
-from jointqg.embedding import BackendSpec, create_backend
+from jointqg.embedding import BACKEND_KINDS, BackendSpec, create_backend
 from jointqg.errors import SchemaError, StageError
 from jointqg.labeler import label_examples, read_labels_jsonl, write_labels_jsonl
 from jointqg.tokenizer import Vocabulary
+from jointqg.training import TRAIN_MODES
 
 import synth
 
@@ -167,6 +169,7 @@ def test_report_embeds_run_provenance(pipeline_run):
     assert payload["vocab_size"] == len(vocab)
     assert payload["n_examples"] == 5
     assert payload["selector_f1"] is None  # joint mode trains no separate selector
+    assert payload["train_dropped"] == 0
     assert payload["bleu4"] == pipeline_run["report"].bleu4
     assert len(payload["per_example"]) == 5
 
@@ -292,6 +295,21 @@ def test_separate_eval_data(tmp_path):
     h1 = hashlib.sha256(pathlib.Path(train).read_bytes()).hexdigest()
     h2 = hashlib.sha256(pathlib.Path(eval_).read_bytes()).hexdigest()
     assert payload["data_sha256"] == f"{h1}:{h2}"
+
+
+def test_report_counts_training_examples_left_out(tmp_path):
+    # at max_len 16 the long answer alone needs 18 positions
+    long_answer = "a very long mineral vein sample row set of grey stone over many hot days"
+    long_one = synth.make_example("drop-1", f"Teams measured {long_answer}. Values ran high.",
+                                  "What did teams measure?", long_answer)
+    kept = synth.memorization_examples()[:3]
+    train = synth.write_squad_json(kept + [long_one], str(tmp_path / "train.json"))
+    cfg = make_cfg(tmp_path / "out", train, epochs=0)
+    cfg.eval_data = synth.write_squad_json(kept, str(tmp_path / "eval.json"))
+    cfg.model["max_len"] = 16
+    _, run_dir = H.run_pipeline(cfg)
+    payload = json.loads((pathlib.Path(run_dir) / "report.json").read_text())
+    assert payload["train_dropped"] == 1
 
 
 # ----------------------------------------------------------------- failure
@@ -537,6 +555,20 @@ def test_config_from_file_round_trip(tmp_path, pipeline_run):
 
 
 # ------------------------------------------------------------- command line
+
+def test_cli_choices_follow_the_mode_and_backend_constants():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command, dest):
+        return tuple(next(a for a in commands[command]._actions if a.dest == dest).choices)
+
+    assert choices("train", "mode") == TRAIN_MODES
+    assert choices("train", "backend") == BACKEND_KINDS
+    # labelling from the command line has no model to encode with
+    assert choices("label", "backend") == tuple(k for k in BACKEND_KINDS
+                                                if k != "model_encoder")
+
 
 def write_exp_config(tmp_path, data, **kw):
     cfg = make_cfg(tmp_path / "runs", data, **kw)

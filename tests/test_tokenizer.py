@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from jointqg.errors import InputTooLongError, SchemaError
 from jointqg.tokenizer import (
     BOS_ID, CLS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID, N_SPECIALS,
-    Vocabulary, assemble_model_input, pad_batch, tokenize,
+    Vocabulary, assemble_model_input, pad_batch, pad_rows, tokenize,
 )
 
 import synth
@@ -283,6 +283,14 @@ def test_pad_batch_shapes(tiny_examples, tiny_vocab):
         assert np.all(batch["nonpad"][b, :t] == 1)
         assert np.all(batch["nonpad"][b, t:] == 0)
         assert np.all(batch["sentence_index"][b, t:] == -1)
+
+
+def test_pad_rows_keeps_one_column_for_empty_rows():
+    padded, mask = pad_rows([np.zeros(0, dtype=np.int64)] * 2, 7)
+    assert padded.tolist() == [[7], [7]] and mask.tolist() == [[0], [0]]
+    padded, mask = pad_rows([[4, 5], [], [6]], -1)
+    assert padded.tolist() == [[4, 5], [-1, -1], [6, -1]]
+    assert mask.dtype == np.int64 and mask.tolist() == [[1, 1], [0, 0], [1, 0]]
 
 
 def test_pad_batch_rejects_empty():

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jointqg import autodiff as ad
 from jointqg import decoding as D
@@ -14,9 +16,10 @@ from jointqg.embedding import BagMeanBackend, ModelEncoderBackend
 from jointqg.errors import NumericError
 from jointqg.labeler import RelevanceLabels, label_examples, question_type_of
 from jointqg.model import Checkpoint, Parameters
-from jointqg.tokenizer import Vocabulary
+from jointqg.tokenizer import EOS_ID, Vocabulary, pad_batch, pad_rows
 from conftest import small_model_cfg
-from oracles import adam_eager_oracle
+from oracles import (adam_eager_oracle, decoder_batch_loop, pad_batch_loop,
+                     selector_batch_loop)
 import synth
 
 LN2 = 0.6931471805599453
@@ -356,6 +359,88 @@ def test_prepare_examples_alignment_checked(stall_setup):
     examples, labels, qtypes, vocab, cfg = stall_setup
     with pytest.raises(ValueError):
         T.prepare_examples(examples, labels[:-1], qtypes, vocab, cfg, T.TrainConfig())
+
+
+# ------------------------------------------------------------ batch layout
+
+def _layout_pool():
+    """Prepared examples of every shape a batch can mix: full and truncated
+    inputs, full and cut questions, and one input with no kept sentence
+    whose question is EOS alone (last)."""
+    sel, sel_labels, sel_qtypes = synth.selector_examples(n=6)
+    sweep = synth.sweep_examples(3)
+    examples = sel + sweep
+    vocab = Vocabulary.build(examples)
+    labels = sel_labels + label_examples(sweep, BagMeanBackend(dim=16, seed=0), 2)
+    qtypes = sel_qtypes + [question_type_of(ex.document.question) for ex in sweep]
+    cfg = small_model_cfg(len(vocab), max_len=96)
+    pool = []
+    for max_len, question_len in ((96, 32), (16, 4)):
+        pool += T.prepare_examples(examples, labels, qtypes, vocab,
+                                   dataclasses.replace(cfg, max_len=max_len),
+                                   T.TrainConfig(max_question_len=question_len))[0]
+    pool.append(dataclasses.replace(pool[0], model_input=pool[0].model_input.restrict([]),
+                                    relevance=np.zeros(0, dtype=np.int64),
+                                    gold_ids=np.array([EOS_ID])))
+    return pool, cfg, Parameters.init(cfg, seed=3)
+
+
+_LAYOUT_POOL, _LAYOUT_CFG, _LAYOUT_PARAMS = _layout_pool()
+
+
+def _fed_arrays(batch, mode):
+    """The selector and decoder arrays _batch_losses hands the model and
+    the losses."""
+    got = {}
+    sel_loss, gen_loss, dec_logits = T._selection_loss_t, T._generation_loss_t, T.M.decoder_logits
+
+    def spy_sel(probs, labels, mask):
+        got.update(labels=labels, sel_mask=mask)
+        return sel_loss(probs, labels, mask)
+
+    def spy_gen(logits, targets, mask):
+        got.update(targets=targets, gen_mask=mask)
+        return gen_loss(logits, targets, mask)
+
+    def spy_dec(dec_in, *args, **kw):
+        got["dec_in"] = dec_in
+        return dec_logits(dec_in, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_selection_loss_t", spy_sel)
+        mp.setattr(T, "_generation_loss_t", spy_gen)
+        mp.setattr(T.M, "decoder_logits", spy_dec)
+        T._batch_losses(batch, _LAYOUT_PARAMS, _LAYOUT_CFG, mode, 0.5, None)
+    return got
+
+
+def _assert_same(got, want, key):
+    assert got.shape == want.shape and np.array_equal(got, want), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, len(_LAYOUT_POOL) - 1), min_size=1, max_size=6))
+@example([len(_LAYOUT_POOL) - 1])
+def test_batch_arrays_match_the_frozen_padders(picks):
+    batch = [_LAYOUT_POOL[i] for i in picks]
+    enc = pad_batch([pe.model_input for pe in batch])
+    for key, want in pad_batch_loop([pe.model_input for pe in batch]).items():
+        assert enc[key].dtype == np.int64, key
+        _assert_same(enc[key], want, key)
+    sel, dec = selector_batch_loop(batch), decoder_batch_loop(batch)
+    if any(pe.model_input.n_sentences for pe in batch):
+        got = _fed_arrays(batch, "joint")
+    else:
+        # one column and an all-zero mask, refused by the selection loss
+        with pytest.raises(ValueError, match="no sentences"):
+            T._batch_losses(batch, _LAYOUT_PARAMS, _LAYOUT_CFG, "joint", 0.5, None)
+        got = _fed_arrays(batch, "generation_only")
+        got["labels"], got["sel_mask"] = pad_rows([pe.relevance for pe in batch], 0)
+    for key, want in (("labels", sel["labels"]), ("sel_mask", sel["mask"]),
+                      ("targets", dec["targets"]), ("gen_mask", dec["nonpad"]),
+                      ("dec_in", dec["dec_in"])):
+        assert got[key].dtype == np.int64, key
+        _assert_same(got[key], want, key)
 
 
 def test_max_question_len_truncates_gold(stall_setup):
