@@ -150,17 +150,18 @@ def _check_selector_fits(ckpt: Checkpoint, selector: Checkpoint, where: str) -> 
                          f"the generator's max_len {ckpt.config.max_len}")
 
 
-def load_selector_beside(ckpt_path: str, vocab: Vocabulary,
-                         generator: Checkpoint) -> Checkpoint | None:
-    """The two_step selector saved beside a generator checkpoint, if any;
-    one too short for the generator's inputs is refused."""
-    path = os.path.join(os.path.dirname(ckpt_path), SELECTOR_CHECKPOINT)
+def _selector_path(ckpt_path: str) -> str:
+    return os.path.join(os.path.dirname(ckpt_path), SELECTOR_CHECKPOINT)
+
+
+def load_selector_beside(ckpt_path: str, vocab: Vocabulary) -> Checkpoint | None:
+    """The two_step selector saved beside a generator checkpoint, if any."""
+    path = _selector_path(ckpt_path)
     if not os.path.exists(path):
         return None
     selector = load_checkpoint(path, expected_vocab=vocab)
     if selector.selector_k is None or selector.selector_k < 1:
         raise SchemaError(f"{path}: selector checkpoint does not record a positive k")
-    _check_selector_fits(generator, selector, path)
     return selector
 
 
@@ -200,9 +201,13 @@ def generate_file(ckpt_path: str, examples: list[QAExample], vocab: Vocabulary,
     if max_len > ckpt.config.max_len:
         raise ValueError(f"max_len {max_len} exceeds the checkpoint's max_len "
                          f"{ckpt.config.max_len}")
+    selector = load_selector_beside(ckpt_path, vocab)
+    if selector is not None:
+        # generate_predictions repeats this check for in-memory selectors;
+        # here it can name the file
+        _check_selector_fits(ckpt, selector, _selector_path(ckpt_path))
     records = generate_predictions(ckpt, examples, vocab, beam_size, max_len,
-                                   length_alpha,
-                                   selector=load_selector_beside(ckpt_path, vocab, ckpt))
+                                   length_alpha, selector=selector)
     write_predictions_jsonl(records, out_path)
     return records
 

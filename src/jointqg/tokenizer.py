@@ -208,14 +208,14 @@ def assemble_model_input(example: QAExample, vocab: Vocabulary,
     )
 
 
-def pad_rows(rows, fill, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+def pad_rows(rows, fill) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad rows with fill into one (B, max(longest, 1)) array; returns
     it with the int64 mask that is 1 on real entries and 0 on padding."""
     if not rows:
         raise ValueError("empty batch")
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     real = np.arange(max(int(lengths.max()), 1)) < lengths[:, None]
-    padded = np.full(real.shape, fill, dtype=dtype)
+    padded = np.full(real.shape, fill, dtype=np.int64)
     padded[real] = np.concatenate(rows)
     return padded, real.astype(np.int64)
 

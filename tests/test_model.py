@@ -668,7 +668,7 @@ def test_checkpoint_missing_tensor_rejected(tmp_path, tiny_params,
                                        (2.0, False), ("2", False)])
 def test_selector_beside_requires_positive_integer_k(tmp_path, tiny_params,
                                                      tiny_model_cfg, tiny_vocab,
-                                                     tiny_checkpoint, value, ok):
+                                                     value, ok):
     import json as _json
     src = str(tmp_path / "good.ckpt")
     M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab, selector_k=2)
@@ -681,11 +681,10 @@ def test_selector_beside_requires_positive_integer_k(tmp_path, tiny_params,
                    replace=("meta.json", _json.dumps(meta).encode()))
     # bool is an int subclass, so `true` must be refused explicitly
     if ok:
-        assert load_selector_beside(str(run / "model.ckpt"), tiny_vocab,
-                                    tiny_checkpoint).selector_k == 2
+        assert load_selector_beside(str(run / "model.ckpt"), tiny_vocab).selector_k == 2
     else:
         with pytest.raises(SchemaError, match="selector.ckpt"):
-            load_selector_beside(str(run / "model.ckpt"), tiny_vocab, tiny_checkpoint)
+            load_selector_beside(str(run / "model.ckpt"), tiny_vocab)
 
 
 def _npy_bytes(arr):
