@@ -20,7 +20,7 @@ from . import corpus as C
 from . import decoding as D
 from . import metrics as MX
 from .embedding import BACKEND_KINDS, BackendSpec, create_backend
-from .harness import ExperimentConfig, compare_modes, run_pipeline, sweep_top_k
+from .harness import ExperimentConfig, check_modes, compare_modes, run_pipeline, sweep_top_k
 from .labeler import label_examples, write_labels_jsonl
 from .tokenizer import Vocabulary
 from .training import TRAIN_MODES
@@ -140,6 +140,8 @@ def main(argv=None) -> int:
         try:
             k_list = [int(x) for x in args.k_list.split(",") if x.strip()]
         except ValueError:
+            k_list = []
+        if not k_list:
             print("--k-list must be comma-separated integers", file=sys.stderr)
             return 2
         rows, errors = sweep_top_k(_load_config(args), k_list)
@@ -152,6 +154,11 @@ def main(argv=None) -> int:
 
     if args.command == "compare-modes":
         modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
+        try:
+            check_modes(modes)
+        except ValueError as e:
+            print(f"--modes: {e}", file=sys.stderr)
+            return 2
         rows = compare_modes(_load_config(args), modes)
         for row in rows:
             print(row)

@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import AlignmentError, EmptyDatasetError, SchemaError
-from .fileio import read_jsonl, write_jsonl
+from .fileio import read_keyed_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -310,19 +310,13 @@ def write_corpus_jsonl(examples: list[QAExample], path: str) -> None:
     write_jsonl(path, (example_to_record(ex) for ex in examples))
 
 
+def _keyed_example(rec) -> tuple[str, QAExample]:
+    ex = example_from_record(rec)
+    return ex.document.id, ex
+
+
 def read_corpus_jsonl(path: str) -> list[QAExample]:
-    examples = []
-    first_line: dict[str, int] = {}
-    for ln, rec in read_jsonl(path):
-        try:
-            ex = example_from_record(rec)
-        except ValueError as e:
-            raise SchemaError(f"{path}:{ln}: {e}") from e
-        if ex.document.id in first_line:
-            raise SchemaError(f"{path}:{ln}: repeats id {ex.document.id!r} "
-                              f"of line {first_line[ex.document.id]}")
-        first_line[ex.document.id] = ln
-        examples.append(ex)
+    examples = list(read_keyed_jsonl(path, _keyed_example).values())
     if not examples:
         raise EmptyDatasetError(f"{path}: no records")
     return examples

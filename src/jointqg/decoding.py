@@ -23,7 +23,7 @@ import numpy as np
 from . import training as T
 from .corpus import QAExample
 from .errors import NumericError, SchemaError
-from .fileio import read_jsonl, write_jsonl
+from .fileio import read_keyed_jsonl, write_jsonl
 from .model import Checkpoint, DecoderSession, encoder_forward, load_checkpoint
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, ModelInput, Vocabulary, assemble_model_input
 
@@ -68,8 +68,7 @@ def _norm_score(logp: float, length: int, alpha: float) -> float:
 
 def greedy_decode(scorer, max_len: int = 32) -> list[int]:
     """Argmax chain; ties resolve to the lowest token id."""
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
+    check_decode_settings(1, max_len, 0.0)
     out: list[int] = []
     while len(out) < max_len:
         nxt = int(np.argmax(_next_logprobs(scorer, out)))
@@ -110,11 +109,11 @@ def beam_search_nbest(scorer, beam_size: int, max_len: int = 32,
         active.sort(key=lambda h: h[0])
         lp = np.stack([_next_logprobs(scorer, list(ids)) for ids, _ in active])
         vocab_size = lp.shape[1]
-        finite = np.isfinite(lp).ravel()
         totals = (np.array([logp for _, logp in active])[:, None] + lp).ravel()
-        keep = min(beam_size, int(finite.sum()))
-        cut = np.partition(totals[finite], -keep)[-keep]
-        picked = np.flatnonzero(finite & (totals >= cut))
+        # _next_logprobs rows are finite or -inf: a cut within the finite count is finite
+        keep = min(beam_size, np.count_nonzero(totals > -np.inf))
+        cut = np.partition(totals, -keep)[-keep]
+        picked = np.flatnonzero(totals >= cut)
         picked = picked[np.argsort(-totals[picked], kind="stable")][:keep]
         live = []
         for flat in picked.tolist():
@@ -212,13 +211,13 @@ def generate_file(ckpt_path: str, examples: list[QAExample], vocab: Vocabulary,
     return records
 
 
-def _checked_prediction(rec, where: str = "") -> dict:
+def _checked_prediction(rec) -> dict:
     missing = [f for f in PREDICTION_FIELDS if not isinstance(rec, dict) or f not in rec]
     if missing:
-        raise SchemaError(f"{where}prediction record missing {missing}")
+        raise SchemaError(f"prediction record missing {missing}")
     not_text = [f for f in ("prediction", "gold") if not isinstance(rec[f], str)]
     if not_text:
-        raise SchemaError(f"{where}prediction record fields {not_text} must be strings")
+        raise SchemaError(f"prediction record fields {not_text} must be strings")
     return rec
 
 
@@ -231,11 +230,5 @@ def write_predictions_jsonl(records: list[dict], path: str) -> None:
 def read_predictions_jsonl(path: str) -> list[dict]:
     """The records of a predictions file; a repeated id is refused, since
     scoring would count that example twice."""
-    records, first_line = [], {}
-    for ln, rec in read_jsonl(path):
-        key = str(_checked_prediction(rec, f"{path}:{ln}: ")["id"])
-        if key in first_line:
-            raise SchemaError(f"{path}:{ln}: repeats id {key!r} of line {first_line[key]}")
-        first_line[key] = ln
-        records.append(rec)
-    return records
+    return list(read_keyed_jsonl(
+        path, lambda rec: (str(_checked_prediction(rec)["id"]), rec)).values())

@@ -1,9 +1,10 @@
-"""Whole-or-absent file writes for run artifacts, and the JSONL codec."""
+"""Whole-or-absent file writes for run artifacts, and the JSONL codec with
+the one reader of the id-keyed corpus, label and prediction files."""
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 from .errors import SchemaError
@@ -51,3 +52,19 @@ def read_jsonl(path: str) -> Iterator[tuple[int, object]]:
                 yield ln, json.loads(line)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"{path}:{ln}: not valid JSON ({e})") from e
+
+
+def read_keyed_jsonl(path: str, parse: Callable[[object], tuple[str, object]]) -> dict:
+    """{id: value} in file order, where parse turns each record into (id, value).
+    parse's ValueError, or a repeated id, becomes a SchemaError naming path:line."""
+    values, first_line = {}, {}
+    for ln, rec in read_jsonl(path):
+        try:
+            key, value = parse(rec)
+        except ValueError as e:
+            raise SchemaError(f"{path}:{ln}: {e}") from e
+        if key in first_line:
+            raise SchemaError(f"{path}:{ln}: repeats id {key!r} of line {first_line[key]}")
+        first_line[key] = ln
+        values[key] = value
+    return values

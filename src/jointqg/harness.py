@@ -128,8 +128,12 @@ class ExperimentConfig:
         return out
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        return _resolved_hash(self.resolved())
+
+
+def _resolved_hash(resolved: dict) -> str:
+    canonical = json.dumps(resolved, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 def _file_sha256(path: str) -> str:
@@ -174,11 +178,10 @@ class RunLock:
         return False
 
 
-def _make_run_dir(cfg: ExperimentConfig) -> str:
-    # hashing resolves and checks the config, so a bad one creates no directory
-    name = f"run-{time.strftime('%Y%m%d-%H%M%S')}-{cfg.config_hash()}"
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    base = os.path.join(cfg.out_dir, name)
+def _make_run_dir(out_dir: str, config_hash: str) -> str:
+    name = f"run-{time.strftime('%Y%m%d-%H%M%S')}-{config_hash}"
+    os.makedirs(out_dir, exist_ok=True)
+    base = os.path.join(out_dir, name)
     run_dir = base
     n = 1
     while True:
@@ -201,7 +204,11 @@ def _label_backend(cfg: ExperimentConfig, model_cfg: M.ModelConfig, vocab: Vocab
 
 def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
     """Execute every stage; returns the evaluation report and run dir."""
-    run_dir = _make_run_dir(cfg)
+    # resolving checks the config, so a bad one creates no directory; the
+    # run-directory name and the report share this one resolution
+    resolved = cfg.resolved()
+    config_hash = _resolved_hash(resolved)
+    run_dir = _make_run_dir(cfg.out_dir, config_hash)
     with RunLock(run_dir):
         with _stage("prepare"):
             train_examples = C.load_squad_json(cfg.train_data)
@@ -247,8 +254,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
         with _stage("evaluate"):
             report = MX.score_predictions(records)
             MX.write_report_json(report, os.path.join(run_dir, "report.json"), extra={
-                "config": cfg.resolved(),
-                "config_hash": cfg.config_hash(),
+                "config": resolved,
+                "config_hash": config_hash,
                 "data_sha256": data_hash,
                 "vocab_size": len(vocab),
                 "selector_f1": result.selector_f1,
@@ -293,16 +300,21 @@ def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], l
     return rows, errors
 
 
-def compare_modes(cfg: ExperimentConfig,
-                  modes: tuple[str, ...] = ("joint", "two_step")) -> list[dict]:
-    """Run each training mode on the same data; rows carry metric deltas
-    against the first mode. Writes compare_modes.csv under out_dir."""
+def check_modes(modes: tuple[str, ...]) -> None:
+    """Refuse fewer than two modes, or a mode that is not a training mode."""
     if len(modes) < 2:
         raise ValueError("compare_modes needs at least two modes")
     unknown = [m for m in modes if m not in T.TRAIN_MODES]
     if unknown:
         raise ValueError(f"unknown training modes {unknown}; "
                          f"choose from {list(T.TRAIN_MODES)}")
+
+
+def compare_modes(cfg: ExperimentConfig,
+                  modes: tuple[str, ...] = ("joint", "two_step")) -> list[dict]:
+    """Run each training mode on the same data; rows carry metric deltas
+    against the first mode. Writes compare_modes.csv under out_dir."""
+    check_modes(modes)
     rows: list[dict] = []
     for mode in modes:
         sub = cfg.with_overrides(mode=mode,

@@ -1,16 +1,20 @@
 """Run artifacts are written whole or not at all: each writer serialises its
 payload first and renames a temp file beside the target into place."""
 import dataclasses
+import json
 import os
 
 import pytest
 
 from jointqg import harness as H
-from jointqg.corpus import write_corpus_jsonl
+from jointqg.corpus import example_to_record, read_corpus_jsonl, write_corpus_jsonl
+from jointqg.decoding import read_predictions_jsonl
 from jointqg.errors import SchemaError
-from jointqg.fileio import read_jsonl, write_atomic, write_jsonl
-from jointqg.labeler import RelevanceLabels, write_labels_jsonl
+from jointqg.fileio import read_jsonl, read_keyed_jsonl, write_atomic, write_jsonl
+from jointqg.labeler import RelevanceLabels, read_labels_jsonl, write_labels_jsonl
 from jointqg.metrics import score_corpus, write_report_json
+
+import synth
 
 
 def test_write_atomic_writes_text_as_utf8_and_bytes_as_given(tmp_path):
@@ -31,6 +35,56 @@ def test_jsonl_round_trip_skips_blank_lines_and_counts_them(tmp_path):
     path.write_text('{"q": 1}\n{"q":\n', encoding="utf-8")
     with pytest.raises(SchemaError, match="a.jsonl:2: not valid JSON"):
         list(read_jsonl(str(path)))
+
+
+def _parse_even(rec):
+    if rec["n"] % 2:
+        raise ValueError(f"odd n {rec['n']}")
+    return rec["id"], rec["n"]
+
+
+def test_keyed_jsonl_skips_blanks_names_bad_lines_and_first_ids(tmp_path):
+    path = tmp_path / "k.jsonl"
+    path.write_text('{"id": "a", "n": 0}\n\n{"id": "b", "n": 2}\n')
+    assert read_keyed_jsonl(str(path), _parse_even) == {"a": 0, "b": 2}
+    path.write_text('{"id": "a", "n": 0}\n\n{"id": "b", "n": 3}\n')
+    with pytest.raises(SchemaError, match=r"k\.jsonl:3: odd n 3") as info:
+        read_keyed_jsonl(str(path), _parse_even)
+    assert isinstance(info.value.__cause__, ValueError)
+    path.write_text('{"id": "a", "n": 0}\n{"id": "b", "n": 2}\n\n{"id": "a", "n": 4}\n')
+    with pytest.raises(SchemaError, match=r"k\.jsonl:4: repeats id 'a' of line 1"):
+        read_keyed_jsonl(str(path), _parse_even)
+    path.write_text('{"n": 0}\n')
+    with pytest.raises(KeyError):  # only a ValueError names the line
+        read_keyed_jsonl(str(path), _parse_even)
+
+
+# reader, one record for an id, and the ids of what the reader returns
+_KEYED_READERS = {
+    "corpus": (read_corpus_jsonl,
+               lambda key: example_to_record(
+                   synth.make_example(key, "Ann ran. Bob sat.", "Who ran?", "Ann")),
+               lambda examples: [ex.document.id for ex in examples]),
+    "labels": (read_labels_jsonl,
+               lambda key: {"id": key, "relevance": [1, 0], "scores": [0.5, 0.1],
+                            "k": 1, "qtype": "who"},
+               list),
+    "predictions": (read_predictions_jsonl,
+                    lambda key: {"id": key, "prediction": "x", "gold": "y",
+                                 "beam_size": 1, "score": -1.0},
+                    lambda records: [rec["id"] for rec in records]),
+}
+
+
+# Only the reader/case pairs no reader-specific test covers: each reader's
+# non-JSON line and repeated id are tested beside it, and the corpus
+# reader's blank line only through the line number of a later error.
+@pytest.mark.parametrize("reader", list(_KEYED_READERS))
+def test_keyed_readers_skip_blank_lines(tmp_path, reader):
+    read, record, ids_of = _KEYED_READERS[reader]
+    path = tmp_path / "r.jsonl"
+    path.write_text(f"{json.dumps(record('a'))}\n\n  \n{json.dumps(record('b'))}\n")
+    assert ids_of(read(str(path))) == ["a", "b"]
 
 
 def test_write_atomic_failed_rename_leaves_no_temp_file(tmp_path):

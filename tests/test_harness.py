@@ -668,6 +668,20 @@ def test_cli_sweep_k_rejects_garbage_list(tmp_path, pipeline_run, capsys):
     assert "comma-separated integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep-k", "--k-list", ","], "--k-list must be comma-separated integers"),
+    (["compare-modes", "--modes", "joint"], "--modes: compare_modes needs at least two modes"),
+    (["compare-modes", "--modes", "joint,bogus"], "--modes: unknown training modes ['bogus']"),
+], ids=["empty-k-list", "one-mode", "unknown-mode"])
+def test_cli_refuses_a_bad_list_before_any_run(tmp_path, pipeline_run, capsys, argv,
+                                               message):
+    cfg_path = write_exp_config(tmp_path, pipeline_run["data"], epochs=0)
+    out = tmp_path / "never"
+    assert cli_main(argv + ["--config", cfg_path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_compare_modes(tmp_path, pipeline_run, capsys):
     cfg_path = write_exp_config(tmp_path, pipeline_run["data"], epochs=0)
     out = tmp_path / "cmp"
