@@ -363,12 +363,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         a_shape = a.shape
 
         def vjp(g):
-            if axis is None:
-                return (np.broadcast_to(g, a_shape).copy(),)
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, a_shape).copy(),)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, a_shape).copy(),)
 
         _record(out, (a,), vjp)
     return out
@@ -376,12 +373,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.data.shape[i] for i in axis]))
-    else:
-        count = a.data.shape[axis]
+    count = a.data.size if axis is None else a.data.shape[axis]
     return mul(tsum(a, axis, keepdims), 1.0 / count)
 
 

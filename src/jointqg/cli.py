@@ -90,12 +90,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    return ExperimentConfig.from_file(args.config).with_overrides(
+    """The config file with its flag overrides, resolved: a file that cannot
+    be read or a bad setting raises before any run directory exists."""
+    cfg = ExperimentConfig.from_file(args.config).with_overrides(
         **{key: getattr(args, key, None) for key in _OVERRIDES})
+    cfg.resolved()
+    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "config"):  # train, sweep-k and compare-modes
+        try:
+            cfg = _load_config(args)
+        except (OSError, ValueError) as e:  # a SchemaError is a ValueError
+            print(f"--config: {e}", file=sys.stderr)
+            return 2
 
     if args.command == "prepare":
         examples = C.load_squad_json(args.input)
@@ -114,7 +124,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "train":
-        report, run_dir = run_pipeline(_load_config(args))
+        report, run_dir = run_pipeline(cfg)
         print(f"run dir: {run_dir}")
         print(json.dumps(report.summary(), indent=1))
         return 0
@@ -144,7 +154,7 @@ def main(argv=None) -> int:
         if not k_list:
             print("--k-list must be comma-separated integers", file=sys.stderr)
             return 2
-        rows, errors = sweep_top_k(_load_config(args), k_list)
+        rows, errors = sweep_top_k(cfg, k_list)
         for row in rows:
             print(row)
         if errors:
@@ -159,7 +169,7 @@ def main(argv=None) -> int:
         except ValueError as e:
             print(f"--modes: {e}", file=sys.stderr)
             return 2
-        rows = compare_modes(_load_config(args), modes)
+        rows = compare_modes(cfg, modes)
         for row in rows:
             print(row)
         return 0

@@ -36,6 +36,8 @@ from .tokenizer import N_SPECIALS, Vocabulary, check_vocab_settings
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"vocab_size"}
 # seed and k are set once, at the top level, for every stage
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(T.TrainConfig)} - {"seed", "k"}
+# the score columns of the sweep and comparison rows, in CSV column order
+_SCORE_COLUMNS = ("bleu4", "meteor_lite", "rouge_l")
 
 
 @dataclass
@@ -264,6 +266,10 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
     return report, run_dir
 
 
+def _scores(report: MX.MetricReport) -> dict:
+    return {name: getattr(report, name) for name in _SCORE_COLUMNS}
+
+
 def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     buf = io.StringIO(newline="")
     writer = csv.DictWriter(buf, fieldnames=fields)
@@ -285,15 +291,13 @@ def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], l
                                  out_dir=os.path.join(cfg.out_dir, f"k{k}"))
         try:
             report, _ = run_pipeline(sub)
-            rows.append({"k": int(k), "bleu4": report.bleu4,
-                         "meteor_lite": report.meteor_lite,
-                         "rouge_l": report.rouge_l})
+            rows.append({"k": int(k), **_scores(report)})
         except Exception as e:  # noqa: BLE001 - sweep must survive bad cells
             stage = e.stage if isinstance(e, StageError) else "unknown"
             errors.append({"k": int(k), "stage": stage, "error": str(e)})
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "sweep_k.csv"),
-               ["k", "bleu4", "meteor_lite", "rouge_l"], rows)
+               ["k", *_SCORE_COLUMNS], rows)
     if errors:
         _write_csv(os.path.join(cfg.out_dir, "sweep_k_errors.csv"),
                    ["k", "stage", "error"], errors)
@@ -320,15 +324,12 @@ def compare_modes(cfg: ExperimentConfig,
         sub = cfg.with_overrides(mode=mode,
                                  out_dir=os.path.join(cfg.out_dir, f"mode-{mode}"))
         report, _ = run_pipeline(sub)
-        rows.append({"mode": mode, "bleu4": report.bleu4,
-                     "meteor_lite": report.meteor_lite,
-                     "rouge_l": report.rouge_l})
+        rows.append({"mode": mode, **_scores(report)})
     base = rows[0]
     for row in rows:
-        for metric in ("bleu4", "meteor_lite", "rouge_l"):
+        for metric in _SCORE_COLUMNS:
             row[f"delta_{metric}"] = row[metric] - base[metric]
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "compare_modes.csv"),
-               ["mode", "bleu4", "meteor_lite", "rouge_l",
-                "delta_bleu4", "delta_meteor_lite", "delta_rouge_l"], rows)
+               ["mode", *_SCORE_COLUMNS, *(f"delta_{m}" for m in _SCORE_COLUMNS)], rows)
     return rows

@@ -72,8 +72,6 @@ def sentence_bleu4(candidate: list[str], reference: list[str]) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0] * (len(b) + 1)
@@ -109,22 +107,17 @@ def _align(candidate: list[str], reference: list[str]) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     taken = [False] * len(reference)
     matched = [False] * len(candidate)
-    for ci, tok in enumerate(candidate):
-        for ri, ref_tok in enumerate(reference):
-            if not taken[ri] and ref_tok == tok:
-                pairs.append((ci, ri))
-                taken[ri] = True
-                matched[ci] = True
-                break
-    for ci, tok in enumerate(candidate):
-        if matched[ci]:
-            continue
-        stem = _stem(tok)
-        for ri, ref_tok in enumerate(reference):
-            if not taken[ri] and _stem(ref_tok) == stem:
-                pairs.append((ci, ri))
-                taken[ri] = True
-                break
+    for key in (lambda tok: tok, _stem):
+        for ci, tok in enumerate(candidate):
+            if matched[ci]:
+                continue
+            want = key(tok)
+            for ri, ref_tok in enumerate(reference):
+                if not taken[ri] and key(ref_tok) == want:
+                    pairs.append((ci, ri))
+                    taken[ri] = True
+                    matched[ci] = True
+                    break
     return sorted(pairs)
 
 
@@ -197,14 +190,9 @@ def score_predictions(records: list[dict]) -> MetricReport:
 
 def write_report_json(report: MetricReport, path: str, extra: dict | None = None) -> None:
     """Serialize a report; extra fields (config, hashes) merge at top level."""
-    payload = {
-        "bleu4": report.bleu4,
-        "rouge_l": report.rouge_l,
-        "meteor_lite": report.meteor_lite,
-        "n_examples": report.n_examples,
-        "bleu_smoothing": "add-one only on zero-match orders >= 2",
-        "per_example": report.per_example,
-    }
+    payload = {**report.summary(),
+               "bleu_smoothing": "add-one only on zero-match orders >= 2",
+               "per_example": report.per_example}
     if extra:
         payload.update(extra)
     write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")

@@ -258,11 +258,10 @@ def encoder_states(token_ids: np.ndarray, nonpad: np.ndarray, p: Parameters,
 
 
 def pooled_vector(token_states: Tensor, nonpad: np.ndarray) -> Tensor:
-    """Mean of non-pad token states, batched: (B, T, d) -> (B, d)."""
-    counts = nonpad.sum(axis=1, keepdims=True)
-    weights = (nonpad / counts)[:, None, :]  # (B, 1, T)
-    return (Tensor(weights) @ token_states).reshape((token_states.shape[0],
-                                                     token_states.shape[2]))
+    """Mean of non-pad token states, batched: (B, T, d) -> (B, d); the
+    one-group case of group_matrix, with every real token in group 0."""
+    bsz, _, d = token_states.shape
+    return (Tensor(group_matrix(nonpad - 1, [1] * bsz)) @ token_states).reshape((bsz, d))
 
 
 def group_matrix(sentence_index: np.ndarray, n_sentences: list[int]) -> np.ndarray:
@@ -271,17 +270,15 @@ def group_matrix(sentence_index: np.ndarray, n_sentences: list[int]) -> np.ndarr
     Row s of example b averages the tokens of sentence s; rows past the
     example's sentence count are zero.
     """
-    bsz, t = sentence_index.shape
-    s_max = max(n_sentences) if n_sentences else 0
-    g = np.zeros((bsz, max(s_max, 1), t))
-    for b in range(bsz):
-        for s in range(n_sentences[b]):
-            members = sentence_index[b] == s
-            count = int(members.sum())
-            if count == 0:
-                raise ValueError(f"sentence ordinal {s} has no tokens in example {b}")
-            g[b, s, members] = 1.0 / count
-    return g
+    ordinals = np.arange(max([1, *n_sentences]))
+    wanted = ordinals < np.reshape(n_sentences, (-1, 1))  # (B, S)
+    members = (sentence_index[:, None, :] == ordinals[:, None]) & wanted[:, :, None]  # (B, S, T)
+    counts = members.sum(axis=2)
+    empty = np.argwhere(wanted & (counts == 0))
+    if len(empty):
+        b, s = empty[0]
+        raise ValueError(f"sentence ordinal {s} has no tokens in example {b}")
+    return np.where(members, 1.0 / np.maximum(counts, 1)[:, :, None], 0.0)
 
 
 def sentence_vectors_from_states(token_states: Tensor, gmat: np.ndarray) -> Tensor:

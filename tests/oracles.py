@@ -116,6 +116,31 @@ def meteor_alignment_oracle(candidate, reference):
     return len(pairs), chunks
 
 
+def meteor_align_two_loops(candidate, reference):
+    """The package's alignment pairs as they were before one loop ran both
+    stages: an exact-match loop, then a stem-match loop over the leftovers."""
+    pairs = []
+    taken = [False] * len(reference)
+    matched = [False] * len(candidate)
+    for ci, tok in enumerate(candidate):
+        for ri, ref_tok in enumerate(reference):
+            if not taken[ri] and ref_tok == tok:
+                pairs.append((ci, ri))
+                taken[ri] = True
+                matched[ci] = True
+                break
+    for ci, tok in enumerate(candidate):
+        if matched[ci]:
+            continue
+        stem = stem_oracle(tok)
+        for ri, ref_tok in enumerate(reference):
+            if not taken[ri] and stem_oracle(ref_tok) == stem:
+                pairs.append((ci, ri))
+                taken[ri] = True
+                break
+    return sorted(pairs)
+
+
 def meteor_lite_oracle(candidate, reference):
     if not candidate or not reference:
         return 0.0
@@ -438,3 +463,19 @@ def selector_batch_loop(batch):
         labels[b, :n] = pe.relevance
         mask[b, :n] = 1.0
     return {"labels": labels, "mask": mask}
+
+
+def group_matrix_loop(sentence_index, n_sentences):
+    """Row-normalised sentence membership as it was built before one array
+    comparison did it: one Python loop per (example, sentence) pair."""
+    bsz, t = sentence_index.shape
+    s_max = max(n_sentences) if n_sentences else 0
+    g = np.zeros((bsz, max(s_max, 1), t))
+    for b in range(bsz):
+        for s in range(n_sentences[b]):
+            members = sentence_index[b] == s
+            count = int(members.sum())
+            if count == 0:
+                raise ValueError(f"sentence ordinal {s} has no tokens in example {b}")
+            g[b, s, members] = 1.0 / count
+    return g

@@ -57,6 +57,55 @@ def test_schema_error_names_offending_path(tmp_path):
         load_squad_json(str(p))
 
 
+def _one_qa(qa=None, context="The sky is blue today."):
+    qa = qa or {"id": "q", "question": "What is blue?",
+                "answers": [{"text": "sky", "answer_start": 4}]}
+    return {"data": [{"paragraphs": [{"context": context, "qas": [qa]}]}]}
+
+
+_QA0 = r"data\[0\]\.paragraphs\[0\]\.qas\[0\]"
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([], r"expected a top-level object with a 'data' list"),
+    ({"data": {}}, r"expected a top-level object with a 'data' list"),
+    ({"data": [{"title": "t"}]}, r"data\[0\] lacks a 'paragraphs' list"),
+    ({"data": [{"paragraphs": [{"qas": []}]}]},
+     r"data\[0\]\.paragraphs\[0\] needs 'context' and 'qas'"),
+    ({"data": [{"paragraphs": [{"context": "C.", "qas": {}}]}]},
+     r"data\[0\]\.paragraphs\[0\] needs 'context' and 'qas'"),
+    (_one_qa({"answers": [{"text": "sky", "answer_start": 4}]}), _QA0 + " lacks a question"),
+    (_one_qa({"question": "Q?", "answers": []}), _QA0 + " lacks answers"),
+    (_one_qa({"question": "Q?", "answers": [{"text": "sky"}]}),
+     _QA0 + " answer needs text and answer_start"),
+    (_one_qa({"question": "Q?", "answers": ["sky"]}), _QA0 + " answer needs text and answer_start"),
+    (_one_qa({"question": "Q?", "answers": [{"text": "sky", "answer_start": "four"}]}),
+     _QA0 + " answer_start is not an integer"),
+    (_one_qa({"question": "Q?", "answers": [{"text": "sky", "answer_start": None}]}),
+     _QA0 + " answer_start is not an integer"),
+], ids=["top-level-list", "data-not-a-list", "no-paragraphs", "no-context", "qas-not-a-list",
+        "no-question", "empty-answers", "no-answer-start", "answer-not-an-object",
+        "answer-start-text", "answer-start-null"])
+def test_squad_structure_error_names_its_entry(tmp_path, payload, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=r"bad\.json: " + message):
+        load_squad_json(str(p))
+
+
+def test_refused_document_is_dropped_with_its_reason(tmp_path):
+    # an empty question aligns, but RawDocument refuses it
+    data = _one_qa()
+    data["data"][0]["paragraphs"][0]["qas"].append(
+        {"id": "blank", "question": "", "answers": [{"text": "sky", "answer_start": 4}]})
+    p = tmp_path / "blank.json"
+    p.write_text(json.dumps(data))
+    examples, stats = load_squad_json(str(p), return_stats=True)
+    assert [e.document.id for e in examples] == ["q"]
+    assert stats.total == 2 and stats.loaded == 1 and stats.dropped == 1
+    assert stats.drop_reasons == ["blank: blank: empty question"]
+
+
 def test_repeated_squad_id_is_refused(tmp_path):
     qa = {"id": "q1", "question": "What is blue?",
           "answers": [{"text": "sky", "answer_start": 4}]}

@@ -95,6 +95,30 @@ def test_precomputed_rejects_non_finite_values(tmp_path, value):
         PrecomputedBackend(str(p))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("dim x\na\t1\n", r"bad\.tsv: bad dimension 'x'"),
+    ("dim 0\n", r"bad\.tsv: dimension must be positive"),
+    ("dim -2\n", r"bad\.tsv: dimension must be positive"),
+    ("dim 2\na\t1 0\nb\t1 two\n", r"bad\.tsv:3: non-numeric vector value"),
+    ("dim 2\n", r"bad\.tsv: no vectors"),
+    ("dim 2\n\n\n", r"bad\.tsv: no vectors"),
+], ids=["dim-not-a-number", "dim-zero", "dim-negative", "non-numeric-value", "header-only",
+        "blank-lines-only"])
+def test_precomputed_refuses_a_malformed_table(tmp_path, text, message):
+    p = tmp_path / "bad.tsv"
+    p.write_text(text)
+    with pytest.raises(SchemaError, match=message):
+        PrecomputedBackend(str(p))
+
+
+def test_precomputed_skips_blank_lines(tmp_path):
+    p = tmp_path / "gaps.tsv"
+    p.write_text("dim 2\n\na\t1 0\n\nb\t0 2\n")
+    be = PrecomputedBackend(str(p))
+    assert np.array_equal(be.embed_tokens(["a"]), [1.0, 0.0])
+    assert np.array_equal(be.embed_tokens(["b"]), [0.0, 2.0])
+
+
 def test_precomputed_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         PrecomputedBackend(str(tmp_path / "absent.tsv"))

@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -680,6 +681,37 @@ def test_cli_refuses_a_bad_list_before_any_run(tmp_path, pipeline_run, capsys, a
     assert cli_main(argv + ["--config", cfg_path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _bad_config(tmp_path, data, case):
+    """The path of a config `jointqg` must refuse, and the out_dir it names."""
+    if case == "missing-file":
+        return str(tmp_path / "absent.json"), tmp_path / "runs"
+    path = write_exp_config(tmp_path, data, epochs=0)
+    body = json.loads(pathlib.Path(path).read_text())
+    if case == "no-out-dir":
+        del body["out_dir"]
+    else:
+        body["beam_size"] = 0
+    pathlib.Path(path).write_text(json.dumps(body))
+    return path, tmp_path / "runs"
+
+
+@pytest.mark.parametrize("case,message", [
+    ("missing-file", r"--config: \[Errno 2\] No such file or directory: '.*absent\.json'"),
+    ("no-out-dir", r"--config: .*exp\.json: .*missing .* argument: 'out_dir'"),
+    ("zero-beam", r"--config: beam_size must be at least 1"),
+], ids=["missing-file", "no-out-dir", "zero-beam"])
+@pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k-list", "1,2"], ["compare-modes"]],
+                         ids=["train", "sweep-k", "compare-modes"])
+def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys, argv, case,
+                                                 message):
+    cfg_path, out = _bad_config(tmp_path, pipeline_run["data"], case)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli_main(argv + ["--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(message + "\n", err), err
+    assert not out.exists() and sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_compare_modes(tmp_path, pipeline_run, capsys):

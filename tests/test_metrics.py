@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jointqg.metrics import (
+    _align,
     bleu4,
     meteor_lite,
     rouge_l,
@@ -14,7 +15,8 @@ from jointqg.metrics import (
     sentence_bleu4,
     write_report_json,
 )
-from oracles import bleu4_oracle, meteor_lite_oracle, rouge_l_oracle, stem_oracle
+from oracles import (bleu4_oracle, meteor_align_two_loops, meteor_lite_oracle, rouge_l_oracle,
+                     stem_oracle)
 
 CAT = "the cat sat on the mat".split()
 CAT_REF = "the cat is on the mat".split()
@@ -169,6 +171,19 @@ def test_random_pairs_match_oracles():
         assert abs(sentence_bleu4(cand, ref) - bleu4_oracle([cand], [ref])) < 1e-9
         assert abs(rouge_l(cand, ref) - rouge_l_oracle(cand, ref)) < 1e-9
         assert abs(meteor_lite(cand, ref) - meteor_lite_oracle(cand, ref)) < 1e-9
+
+
+def test_align_gives_the_two_loop_pairs():
+    rng = np.random.default_rng(2)
+    # inflections of a few stems, so exact and stem matches compete for slots
+    pool = ["walk", "walks", "walked", "walking", "box", "boxes", "cat", "cats",
+            "is", "the", "quick", "quickly"]
+    for _ in range(500):
+        cand = [pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 9))]
+        ref = [pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 9))]
+        assert _align(cand, ref) == meteor_align_two_loops(cand, ref)
+    # the exact stage compares the tokens themselves, not their text
+    assert _align([1.0, 2], [2, 1]) == meteor_align_two_loops([1.0, 2], [2, 1]) == [(0, 1), (1, 0)]
 
 
 def test_random_corpora_match_bleu_oracle():

@@ -15,7 +15,7 @@ from jointqg.decoding import beam_search_nbest, load_selector_beside
 from jointqg.errors import NumericError, SchemaError, VocabMismatchError
 from jointqg.tokenizer import BOS_ID, assemble_model_input, pad_batch
 from conftest import small_model_cfg
-from oracles import grouped_mean_oracle, save_checkpoint_bytesio
+from oracles import group_matrix_loop, grouped_mean_oracle, save_checkpoint_bytesio
 from reference_model import (
     params_as_arrays,
     ref_decoder_dist,
@@ -231,6 +231,49 @@ def test_group_matrix_agrees_with_reconstruct():
         single = M.reconstruct_sentence_vectors(states[b], idx[b])
         assert np.abs(batched[b, :n] - single).max() < 1e-12
     assert np.array_equal(batched[1, 2], np.zeros(4))  # padded sentence row
+
+
+def _padded_sentence_batch(rng):
+    """Ordinals laid out as pad_batch lays them out: per example a [CLS] row,
+    1-3 rows for each of its 0-4 sentences, answer rows, then padding, all
+    but the sentence rows marked -1."""
+    rows = [[-1] + [s for s in range(n) for _ in range(rng.integers(1, 4))]
+            + [-1] * int(rng.integers(1, 3))
+            for n in rng.integers(0, 5, size=rng.integers(1, 6))]
+    t = max(map(len, rows)) + int(rng.integers(0, 3))
+    idx = np.full((len(rows), t), -1, dtype=np.int64)
+    nonpad = np.zeros((len(rows), t), dtype=np.int64)
+    for b, row in enumerate(rows):
+        idx[b, :len(row)] = row
+        nonpad[b, :len(row)] = 1
+    return idx, nonpad, [int(row.max(initial=-1)) + 1 for row in idx]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_group_matrix_and_pooled_vector_bitwise_equal_the_loops(dtype):
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        idx, nonpad, counts = _padded_sentence_batch(rng)
+        got = M.group_matrix(idx.astype(dtype), counts)
+        want = group_matrix_loop(idx.astype(dtype), counts)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        states = Tensor(rng.standard_normal((*idx.shape, 3)))
+        mask = nonpad.astype(dtype)
+        # the mean weights as pooled_vector built them before it used group_matrix
+        weights = (mask / mask.sum(axis=1, keepdims=True))[:, None, :]
+        want = (Tensor(weights) @ states).data.reshape(len(idx), 3)
+        assert M.pooled_vector(states, mask).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("idx,counts,message", [
+    # example 0 misses ordinal 1 and example 1 ordinal 0: example order first
+    ([[0, 2, -1], [-1, -1, -1]], [3, 1], "sentence ordinal 1 has no tokens in example 0"),
+    ([[0, 1, -1], [1, -1, -1]], [2, 3], "sentence ordinal 0 has no tokens in example 1"),
+], ids=["example-order", "second-example"])
+def test_group_matrix_names_the_first_missing_ordinal(idx, counts, message):
+    for build in (M.group_matrix, group_matrix_loop):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(np.array(idx), counts)
 
 
 # ------------------------------------------------------- masking effects
@@ -687,6 +730,25 @@ def test_selector_beside_requires_positive_integer_k(tmp_path, tiny_params,
             load_selector_beside(str(run / "model.ckpt"), tiny_vocab)
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda meta: meta["tensors"].remove("out.b"), id="name-missing"),
+    pytest.param(lambda meta: meta["tensors"].append("extra.w"), id="name-extra"),
+    pytest.param(lambda meta: meta["config"].update(encoder_layers=2), id="config-wants-more"),
+])
+def test_checkpoint_tensor_names_must_match_the_config(tmp_path, tiny_params, tiny_model_cfg,
+                                                       tiny_vocab, change):
+    import json as _json
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    with zipfile.ZipFile(src) as zf:
+        meta = _json.loads(zf.read("meta.json"))
+    change(meta)
+    bad = str(tmp_path / "bad.ckpt")
+    _tampered_copy(src, bad, replace=("meta.json", _json.dumps(meta).encode()))
+    with pytest.raises(SchemaError, match=r"bad\.ckpt: tensor names do not match the stored config"):
+        M.load_checkpoint(bad)
+
+
 def _npy_bytes(arr):
     buf = io.BytesIO()
     np.save(buf, arr, allow_pickle=False)
@@ -699,6 +761,8 @@ def _npy_bytes(arr):
     pytest.param(lambda v: np.lib.format.magic(1, 0) + b"\x10\x00"
                  + b"{'descr': 1}".ljust(15) + b"\n", id="header-keys"),
     pytest.param(lambda v: _npy_bytes(np.array(["x"] * v)), id="string-dtype"),
+    pytest.param(lambda v: np.lib.format.magic(3, 0) + _npy_bytes(np.zeros(v, "<f4"))[8:],
+                 id="npy-version-3"),
 ])
 def test_checkpoint_malformed_tensor_rejected(tmp_path, tiny_params, tiny_model_cfg,
                                               tiny_vocab, make):

@@ -356,6 +356,18 @@ def test_prepare_examples_drops_overlong():
         T.prepare_examples([b], labs[:1], ["what"], vocab, cfg, T.TrainConfig())
 
 
+def test_prepare_examples_drops_a_question_without_tokens():
+    # whitespace passes RawDocument's non-empty check but encodes to no ids
+    a = synth.make_example("keep-1", "Crews kept rocks. Boxes filled fast.",
+                           "What was kept?", "rocks")
+    b = synth.make_example("blank-1", "Crews kept rocks. Boxes filled fast.", " \t ", "rocks")
+    vocab = Vocabulary.build([a])
+    labs = [RelevanceLabels((1, 0), (0.9, 0.1), 1)] * 2
+    prepared, dropped = T.prepare_examples([a, b], labs, ["what", "other"], vocab,
+                                           small_model_cfg(len(vocab)), T.TrainConfig())
+    assert dropped == 1 and [pe.example.document.id for pe in prepared] == ["keep-1"]
+
+
 def test_prepare_examples_alignment_checked(stall_setup):
     examples, labels, qtypes, vocab, cfg = stall_setup
     with pytest.raises(ValueError):
