@@ -20,13 +20,14 @@ from . import corpus as C
 from . import decoding as D
 from . import metrics as MX
 from .embedding import BACKEND_KINDS, BackendSpec, create_backend
+from .errors import SchemaError
 from .harness import ExperimentConfig, check_modes, compare_modes, run_pipeline, sweep_top_k
 from .labeler import label_examples, write_labels_jsonl
 from .tokenizer import Vocabulary
 from .training import TRAIN_MODES
 
 
-# ExperimentConfig.with_overrides keys, each the dest of one override flag
+# ExperimentConfig.from_file override keys, each the dest of one override flag
 _OVERRIDES = ("seed", "out_dir", "mode", "k", "lambda_weight", "beam_size", "backend")
 
 
@@ -92,9 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ExperimentConfig:
     """The config file with its flag overrides, resolved: a file that cannot
     be read or a bad setting raises before any run directory exists."""
-    cfg = ExperimentConfig.from_file(args.config).with_overrides(
-        **{key: getattr(args, key, None) for key in _OVERRIDES})
-    cfg.resolved()
+    cfg = ExperimentConfig.from_file(
+        args.config, **{key: getattr(args, key, None) for key in _OVERRIDES})
+    try:
+        cfg.resolved()
+    except TypeError as e:  # a mistyped value, such as "k": "2"
+        raise SchemaError(f"{args.config}: a setting has the wrong type ({e})") from e
     return cfg
 
 

@@ -61,6 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.backend, dict):
             self.backend = BackendSpec(**self.backend)
+        if not isinstance(self.backend, BackendSpec):
+            raise TypeError(f"backend must be an object, not {self.backend!r}")
         unknown = set(self.model) - _MODEL_FIELDS
         if unknown:
             raise ValueError(f"unknown model fields: {sorted(unknown)}")
@@ -69,35 +71,25 @@ class ExperimentConfig:
             raise ValueError(f"unknown train fields: {sorted(unknown)}")
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        """Bad content raises SchemaError naming the file."""
+    def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
+        """The file's config with overrides merged in as with_overrides
+        does, before any field is required; bad content raises SchemaError
+        naming the file."""
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
                 if not isinstance(payload, dict):
                     raise TypeError("expected a JSON object")
-                unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
+                unknown = set(payload) - _CONFIG_FIELDS
                 if unknown:
                     raise TypeError(f"unknown fields: {sorted(unknown)}")
-                return cls(**payload)
+                return cls(**_merge_overrides(payload, overrides))
             except (TypeError, ValueError) as e:
                 raise SchemaError(f"{path}: {e}") from e
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
         """Copy with non-None overrides applied; mode/lambda reach train."""
-        out = dataclasses.replace(self, model=dict(self.model), train=dict(self.train))
-        for key, value in kw.items():
-            if value is None:
-                continue
-            if key in ("mode", "lambda_weight"):
-                out.train[key] = value
-            elif key == "backend":
-                out.backend = dataclasses.replace(self.backend, kind=value)
-            elif hasattr(out, key):
-                setattr(out, key, value)
-            else:
-                raise ValueError(f"unknown override '{key}'")
-        return out
+        return ExperimentConfig(**_merge_overrides(dataclasses.asdict(self), kw))
 
     def train_config(self) -> T.TrainConfig:
         cfg = T.TrainConfig(**self.train, seed=self.seed, k=self.k)
@@ -131,6 +123,27 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return _resolved_hash(self.resolved())
+
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _merge_overrides(fields: dict, overrides: dict) -> dict:
+    """A config's fields, as JSON holds them, with the non-None overrides
+    applied: mode and lambda_weight go into train, backend sets its kind."""
+    out = dict(fields)
+    for key, value in overrides.items():
+        if value is None:
+            continue
+        if key in ("mode", "lambda_weight"):
+            out["train"] = {**out.get("train", {}), key: value}
+        elif key == "backend":
+            out["backend"] = {**out.get("backend", {}), "kind": value}
+        elif key in _CONFIG_FIELDS:
+            out[key] = value
+        else:
+            raise ValueError(f"unknown override '{key}'")
+    return out
 
 
 def _resolved_hash(resolved: dict) -> str:

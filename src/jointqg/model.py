@@ -123,6 +123,16 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     return shapes
 
 
+# name prefixes of a two_step selector's tensors: the encoder with its token
+# and position embeddings and final norm, and the selector head
+SELECTOR_TENSORS = ("tok_emb", "pos_enc", "enc", "sel.")
+
+
+def selector_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """The param_shapes entries a two_step selector holds."""
+    return {n: s for n, s in param_shapes(cfg).items() if n.startswith(SELECTOR_TENSORS)}
+
+
 class Parameters:
     """Named parameter tensors; iteration order is name-sorted and fixed."""
 
@@ -487,6 +497,8 @@ def decoder_step(enc: EncoderOutput, prefix_ids, p: Parameters,
 
 
 # checkpoint container: zip of meta.json plus one float32 .npy per tensor.
+# A checkpoint that records selector_k is a two_step selector and holds only
+# the selector_shapes tensors; any other holds every param_shapes tensor.
 # Entries are stored uncompressed: float32 weights barely deflate (about 8%)
 # and inflating them dominated load time. The loader also reads deflated
 # entries, so both kinds of checkpoint load. It streams each entry in fixed
@@ -621,7 +633,7 @@ def load_checkpoint(path: str, expected_vocab: Vocabulary | None = None) -> Chec
             raise SchemaError(f"{path}: bad checkpoint metadata ({e})") from e
         if meta.get("version") != CHECKPOINT_VERSION:
             raise SchemaError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        expected = param_shapes(cfg)
+        expected = selector_shapes(cfg) if "selector_k" in meta else param_shapes(cfg)
         if set(names) != set(expected):
             raise SchemaError(f"{path}: tensor names do not match the stored config")
         tensors = {}

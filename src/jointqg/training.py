@@ -400,6 +400,8 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         if train_cfg.mode == "two_step":
+            # drawn in full, so the kept tensors start as in every other mode
+            params = M.Parameters({n: params[n] for n in M.selector_shapes(model_cfg)})
             steps = _run_stage(prepared, params, vocab, model_cfg, train_cfg,
                                "two_step_stage1", history, log_fh, order_rng,
                                dropout_rng, record_mode="two_step:stage1")

@@ -404,9 +404,27 @@ def test_generate_refuses_a_selector_shorter_than_the_generator(
 
     ckpt_path = str(tmp_path / "model.ckpt")
     save_checkpoint(ckpt_path, tiny_checkpoint.params, tiny_checkpoint.config, tiny_vocab)
-    save_checkpoint(str(tmp_path / "selector.ckpt"), short.params, short_cfg, tiny_vocab,
+    short_selector = Parameters({n: short.params[n] for n in M.selector_shapes(short_cfg)})
+    save_checkpoint(str(tmp_path / "selector.ckpt"), short_selector, short_cfg, tiny_vocab,
                     selector_k=2)
     with pytest.raises(ValueError, match=rf"selector\.ckpt: selector max_len 16 .* {limit}"):
+        generate_file(ckpt_path, [ibm_example], tiny_vocab, str(tmp_path / "pred.jsonl"))
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_generate_refuses_a_full_shape_selector_before_encoding(
+        tmp_path, monkeypatch, ibm_example, tiny_vocab, tiny_checkpoint):
+    # a selector.ckpt that also holds the decoder, output and question-type
+    # tensors is refused by name, not decoded with
+    def no_encoding(*args, **kw):
+        raise AssertionError("an input was encoded")
+
+    monkeypatch.setattr(M, "encoder_states", no_encoding)
+    ckpt_path = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt_path, tiny_checkpoint.params, tiny_checkpoint.config, tiny_vocab)
+    save_checkpoint(str(tmp_path / "selector.ckpt"), tiny_checkpoint.params,
+                    tiny_checkpoint.config, tiny_vocab, selector_k=2)
+    with pytest.raises(SchemaError, match=r"selector\.ckpt: tensor names do not match"):
         generate_file(ckpt_path, [ibm_example], tiny_vocab, str(tmp_path / "pred.jsonl"))
     assert not (tmp_path / "pred.jsonl").exists()
 

@@ -10,6 +10,7 @@ import hashlib
 import json
 import pathlib
 import re
+import zipfile
 
 import pytest
 
@@ -222,6 +223,17 @@ def test_two_step_writes_selector_checkpoint(two_step_run):
     assert modes == ["two_step:stage1", "two_step:stage2"]
     payload = json.loads((run_dir / "report.json").read_text())
     assert 0.0 <= payload["selector_f1"] <= 1.0
+
+
+def test_two_step_selector_checkpoint_holds_only_the_selector(two_step_run):
+    _, run_dir = two_step_run
+    vocab = Vocabulary.load(str(run_dir / "vocab.txt"))
+    sel = M.load_checkpoint(str(run_dir / "selector.ckpt"), expected_vocab=vocab)
+    shapes = M.selector_shapes(sel.config)
+    with zipfile.ZipFile(run_dir / "selector.ckpt") as zf:
+        assert sorted(zf.namelist()) == sorted(["meta.json",
+                                                *(f"tensors/{n}.npy" for n in shapes)])
+    assert {n: t.data.shape for n, t in sel.params.items()} == shapes
 
 
 def test_cli_generate_reproduces_two_step_predictions(tmp_path, two_step_run):
@@ -692,16 +704,27 @@ def _bad_config(tmp_path, data, case):
     if case == "no-out-dir":
         del body["out_dir"]
     else:
-        body["beam_size"] = 0
+        body.update(_BAD_VALUES[case])
     pathlib.Path(path).write_text(json.dumps(body))
     return path, tmp_path / "runs"
+
+
+_BAD_VALUES = {"zero-beam": {"beam_size": 0}, "str-k": {"k": "2"},
+               "str-beam": {"beam_size": "1"}, "str-d-model": {"model": {"d_model": "16"}},
+               "str-backend": {"backend": "bag_mean"}}
+_WRONG_TYPE = r"--config: .*exp\.json: a setting has the wrong type \(.*\)"
 
 
 @pytest.mark.parametrize("case,message", [
     ("missing-file", r"--config: \[Errno 2\] No such file or directory: '.*absent\.json'"),
     ("no-out-dir", r"--config: .*exp\.json: .*missing .* argument: 'out_dir'"),
     ("zero-beam", r"--config: beam_size must be at least 1"),
-], ids=["missing-file", "no-out-dir", "zero-beam"])
+    ("str-k", _WRONG_TYPE),
+    ("str-beam", _WRONG_TYPE),
+    ("str-d-model", _WRONG_TYPE),
+    ("str-backend", r"--config: .*exp\.json: backend must be an object, not 'bag_mean'"),
+], ids=["missing-file", "no-out-dir", "zero-beam", "str-k", "str-beam", "str-d-model",
+        "str-backend"])
 @pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k-list", "1,2"], ["compare-modes"]],
                          ids=["train", "sweep-k", "compare-modes"])
 def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys, argv, case,
@@ -712,6 +735,21 @@ def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys,
     err = capsys.readouterr().err
     assert re.fullmatch(message + "\n", err), err
     assert not out.exists() and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["train"], "run-*/report.json"),
+    (["sweep-k", "--k-list", "1"], "sweep_k.csv"),
+    (["compare-modes", "--modes", "joint,generation_only"], "compare_modes.csv"),
+], ids=["train", "sweep-k", "compare-modes"])
+def test_cli_out_stands_in_for_a_missing_out_dir(tmp_path, pipeline_run, capsys, argv,
+                                                 written):
+    cfg_path, _ = _bad_config(tmp_path, pipeline_run["data"], "no-out-dir")
+    out = tmp_path / "out"
+    assert cli_main(argv + ["--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(list(out.glob(written))) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_compare_modes(tmp_path, pipeline_run, capsys):

@@ -714,7 +714,8 @@ def test_selector_beside_requires_positive_integer_k(tmp_path, tiny_params,
                                                      value, ok):
     import json as _json
     src = str(tmp_path / "good.ckpt")
-    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab, selector_k=2)
+    selector = M.Parameters({n: tiny_params[n] for n in M.selector_shapes(tiny_model_cfg)})
+    M.save_checkpoint(src, selector, tiny_model_cfg, tiny_vocab, selector_k=2)
     with zipfile.ZipFile(src) as zf:
         meta = _json.loads(zf.read("meta.json"))
     meta["selector_k"] = value
@@ -734,6 +735,8 @@ def test_selector_beside_requires_positive_integer_k(tmp_path, tiny_params,
     pytest.param(lambda meta: meta["tensors"].remove("out.b"), id="name-missing"),
     pytest.param(lambda meta: meta["tensors"].append("extra.w"), id="name-extra"),
     pytest.param(lambda meta: meta["config"].update(encoder_layers=2), id="config-wants-more"),
+    # a checkpoint recording selector_k holds only the selector's tensors
+    pytest.param(lambda meta: meta.update(selector_k=2), id="selector-k-on-every-tensor"),
 ])
 def test_checkpoint_tensor_names_must_match_the_config(tmp_path, tiny_params, tiny_model_cfg,
                                                        tiny_vocab, change):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from jointqg import autodiff as ad
 from jointqg import decoding as D
+from jointqg import model as M
 from jointqg import training as T
 from jointqg.autodiff import Tensor
 from jointqg.embedding import BagMeanBackend, ModelEncoderBackend
@@ -639,7 +640,18 @@ def test_two_step_history_and_fresh_generator(selector_run):
     assert 0.0 <= res.selector_f1 <= 1.0
     # the generator is trained from a fresh draw, not the stage-1 weights
     assert any(not np.array_equal(res.params[n].data, res.selector_params[n].data)
-               for n in res.params.names())
+               for n in res.selector_params.names())
+
+
+def test_two_step_selector_holds_the_full_draw_of_its_tensors(stall_setup):
+    # the selector keeps only the encoder and its head, drawn as part of the
+    # full initialisation, so each starts as it does in every other mode
+    _, _, _, _, cfg = stall_setup
+    full = _train(stall_setup, mode="joint", epochs=0).params
+    selector = _train(stall_setup, mode="two_step", epochs=0).selector_params
+    assert selector.names() == sorted(M.selector_shapes(cfg))
+    for name, tensor in selector.items():
+        assert np.array_equal(tensor.data, full[name].data), name
 
 
 def test_stage1_loss_actually_falls(selector_run):
