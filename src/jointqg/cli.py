@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus as C
@@ -92,13 +93,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file with its flag overrides, resolved: a file that cannot
-    be read or a bad setting raises before any run directory exists."""
+    be read, a bad setting or a missing input file raises before any run
+    directory exists."""
     cfg = ExperimentConfig.from_file(
         args.config, **{key: getattr(args, key, None) for key in _OVERRIDES})
     try:
         cfg.resolved()
     except TypeError as e:  # a mistyped value, such as "k": "2"
         raise SchemaError(f"{args.config}: a setting has the wrong type ({e})") from e
+    inputs = {"train_data": cfg.train_data}
+    if cfg.eval_data:  # no eval_data means the training examples
+        inputs["eval_data"] = cfg.eval_data
+    if cfg.backend.kind == "precomputed_file":
+        inputs["backend.source"] = cfg.backend.source
+    for name, path in inputs.items():
+        if not os.path.isfile(path):
+            raise SchemaError(f"{args.config}: {name} {path!r} is not a file")
     return cfg
 
 

@@ -102,10 +102,11 @@ class ExperimentConfig:
         return cfg
 
     def resolved(self) -> dict:
-        """Full configuration with every default filled in. A bad model, train,
-        vocabulary or decode setting, or a decode or question length past the
-        model's max_len, raises ValueError here, so a run refuses it before
-        its run directory exists."""
+        """Full configuration with every default filled in. A bad backend,
+        model, train, vocabulary or decode setting, or a decode or question
+        length past the model's max_len, raises ValueError here, so a run
+        refuses it before its run directory exists."""
+        self.backend.validate()
         check_vocab_settings(self.vocab_max_size, self.vocab_min_freq)
         D.check_decode_settings(self.beam_size, self.max_decode_len, self.length_alpha)
         model_cfg = self.model_config(N_SPECIALS + 1)  # the smallest real vocabulary
@@ -210,9 +211,10 @@ def _make_run_dir(out_dir: str, config_hash: str) -> str:
 
 def _label_backend(cfg: ExperimentConfig, model_cfg: M.ModelConfig, vocab: Vocabulary):
     """The label stage's backend. Only model_encoder reads model parameters,
-    so only it gets a fresh initialisation; the caller drops the backend
-    after labelling, so those parameters do not stay alive through training."""
-    params = (M.Parameters.init(model_cfg, seed=cfg.seed)
+    so only it gets a fresh initialisation, of the selector's tensors (the
+    encoder it reads and the small selector head); the caller drops the
+    backend after labelling, so they do not stay alive through training."""
+    params = (M.Parameters.init(model_cfg, seed=cfg.seed, shapes=M.selector_shapes(model_cfg))
               if cfg.backend.kind == "model_encoder" else None)
     return create_backend(cfg.backend, params=params, config=model_cfg, vocab=vocab)
 

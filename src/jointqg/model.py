@@ -140,17 +140,26 @@ class Parameters:
         self.tensors = dict(sorted(tensors.items()))
 
     @classmethod
-    def init(cls, cfg: ModelConfig, seed: int = 0) -> "Parameters":
+    def init(cls, cfg: ModelConfig, seed: int | np.random.SeedSequence = 0,
+             shapes: dict[str, tuple] | None = None) -> "Parameters":
+        """Fresh tensors for `shapes` (default: all of param_shapes(cfg)).
+        Gains start at one, biases at zero, and every other tensor draws
+        N(0, 0.02^2) from its own stream, keyed by the seed (an int or a
+        SeedSequence) and the CRC-32 of its name. A tensor's start depends
+        only on (seed, name, shape), so any subset equals the full draw's
+        entries and the vocabulary size moves only the tensors it shapes."""
         cfg.validate()
-        rng = np.random.default_rng(seed)
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         tensors: dict[str, Tensor] = {}
-        for name, shape in sorted(param_shapes(cfg).items()):
+        for name, shape in (param_shapes(cfg) if shapes is None else shapes).items():
             if name.endswith(".g"):
                 data = np.ones(shape)
             elif name.endswith((".b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
                 data = np.zeros(shape)
             else:
-                data = rng.normal(0.0, 0.02, size=shape)
+                stream = np.random.SeedSequence(
+                    root.entropy, spawn_key=(*root.spawn_key, zlib.crc32(name.encode())))
+                data = np.random.default_rng(stream).normal(0.0, 0.02, size=shape)
             tensors[name] = Tensor(data, requires_grad=True)
         return cls(tensors)
 

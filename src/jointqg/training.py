@@ -393,15 +393,15 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
     order_rng = np.random.default_rng(order_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
 
-    params = M.Parameters.init(model_cfg, seed=init_ss)
+    two_step = train_cfg.mode == "two_step"
+    params = M.Parameters.init(model_cfg, seed=init_ss,
+                               shapes=M.selector_shapes(model_cfg) if two_step else None)
     prepared, dropped = prepare_examples(examples, labels, qtypes, vocab,
                                          model_cfg, train_cfg)
     history: list[dict] = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
-        if train_cfg.mode == "two_step":
-            # drawn in full, so the kept tensors start as in every other mode
-            params = M.Parameters({n: params[n] for n in M.selector_shapes(model_cfg)})
+        if two_step:
             steps = _run_stage(prepared, params, vocab, model_cfg, train_cfg,
                                "two_step_stage1", history, log_fh, order_rng,
                                dropout_rng, record_mode="two_step:stage1")

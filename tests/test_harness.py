@@ -101,6 +101,15 @@ def test_label_stage_initialises_parameters_only_for_model_encoder(
     assert (pathlib.Path(run_dir) / "labels.jsonl").read_bytes() == want.read_bytes()
 
 
+def test_label_backend_draws_only_the_selector_tensors(tmp_path, pipeline_run):
+    cfg = make_cfg(tmp_path, pipeline_run["data"])
+    cfg.backend = BackendSpec(kind="model_encoder")
+    vocab = Vocabulary.load(str(pipeline_run["run_dir"] / "vocab.txt"))
+    model_cfg = cfg.model_config(len(vocab))
+    params = H._label_backend(cfg, model_cfg, vocab).params
+    assert params.names() == sorted(M.selector_shapes(model_cfg))
+
+
 def test_run_dir_name_carries_config_hash(pipeline_run):
     name = pipeline_run["run_dir"].name
     assert name.startswith("run-")
@@ -336,7 +345,7 @@ def test_missing_input_fails_in_prepare_stage(tmp_path):
 
 def test_bad_backend_fails_in_label_stage_keeping_partials(tmp_path, pipeline_run):
     cfg = make_cfg(tmp_path, pipeline_run["data"])
-    cfg.backend = BackendSpec(kind="precomputed_file", source=None)
+    cfg.backend = BackendSpec(kind="precomputed_file", source=str(tmp_path / "absent.tsv"))
     with pytest.raises(StageError) as exc:
         H.run_pipeline(cfg)
     assert exc.value.stage == "label"
@@ -347,6 +356,14 @@ def test_bad_backend_fails_in_label_stage_keeping_partials(tmp_path, pipeline_ru
     assert (run_dirs[0] / "vocab.txt").is_file()
     assert not (run_dirs[0] / "labels.jsonl").exists()
     assert not (run_dirs[0] / "lock").exists()
+
+
+def test_bogus_backend_refused_before_any_run_dir(tmp_path, pipeline_run):
+    cfg = make_cfg(tmp_path / "out", pipeline_run["data"])
+    cfg.backend = BackendSpec(kind="bogus")
+    with pytest.raises(ValueError, match="unknown embedding backend 'bogus'"):
+        H.run_pipeline(cfg)
+    assert not list(tmp_path.glob("out/run-*"))
 
 
 @pytest.mark.parametrize("name,value", [
@@ -701,18 +718,23 @@ def _bad_config(tmp_path, data, case):
         return str(tmp_path / "absent.json"), tmp_path / "runs"
     path = write_exp_config(tmp_path, data, epochs=0)
     body = json.loads(pathlib.Path(path).read_text())
+    absent = str(tmp_path / "absent.json")
+    missing = {"missing-train-data": {"train_data": absent},
+               "missing-eval-data": {"eval_data": absent},
+               "missing-source": {"backend": {"kind": "precomputed_file", "source": absent}}}
     if case == "no-out-dir":
         del body["out_dir"]
     else:
-        body.update(_BAD_VALUES[case])
+        body.update({**_BAD_VALUES, **missing}[case])
     pathlib.Path(path).write_text(json.dumps(body))
     return path, tmp_path / "runs"
 
 
 _BAD_VALUES = {"zero-beam": {"beam_size": 0}, "str-k": {"k": "2"},
                "str-beam": {"beam_size": "1"}, "str-d-model": {"model": {"d_model": "16"}},
-               "str-backend": {"backend": "bag_mean"}}
+               "str-backend": {"backend": "bag_mean"}, "bogus-backend": {"backend": {"kind": "bogus"}}}
 _WRONG_TYPE = r"--config: .*exp\.json: a setting has the wrong type \(.*\)"
+_NOT_A_FILE = r"--config: .*exp\.json: {} '.*absent\.json' is not a file"
 
 
 @pytest.mark.parametrize("case,message", [
@@ -723,8 +745,13 @@ _WRONG_TYPE = r"--config: .*exp\.json: a setting has the wrong type \(.*\)"
     ("str-beam", _WRONG_TYPE),
     ("str-d-model", _WRONG_TYPE),
     ("str-backend", r"--config: .*exp\.json: backend must be an object, not 'bag_mean'"),
+    ("bogus-backend", r"--config: unknown embedding backend 'bogus'"),
+    ("missing-train-data", _NOT_A_FILE.format("train_data")),
+    ("missing-eval-data", _NOT_A_FILE.format("eval_data")),
+    ("missing-source", _NOT_A_FILE.format(r"backend\.source")),
 ], ids=["missing-file", "no-out-dir", "zero-beam", "str-k", "str-beam", "str-d-model",
-        "str-backend"])
+        "str-backend", "bogus-backend", "missing-train-data", "missing-eval-data",
+        "missing-source"])
 @pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k-list", "1,2"], ["compare-modes"]],
                          ids=["train", "sweep-k", "compare-modes"])
 def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys, argv, case,

@@ -3,11 +3,17 @@ parameter bookkeeping, padding invariance and checkpoint io."""
 import hashlib
 import io
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jointqg import model as M
 from jointqg.autodiff import Tensor, log_softmax, no_grad
@@ -59,6 +65,57 @@ def test_init_values_and_determinism():
     assert all(np.array_equal(p[n].data, q[n].data) for n in p.names())
     r = M.Parameters.init(cfg, seed=6)
     assert not np.array_equal(p["tok_emb"].data, r["tok_emb"].data)
+
+
+_small_cfgs = st.builds(
+    small_model_cfg, st.integers(7, 40), d_model=st.sampled_from([4, 8, 12]),
+    encoder_layers=st.integers(1, 2), decoder_layers=st.integers(1, 2),
+    feedforward_dim=st.integers(1, 9), selector_hidden=st.integers(1, 9),
+    max_len=st.integers(8, 20))
+_seeds = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)).map(
+        lambda t: np.random.SeedSequence(t[0]).spawn(4)[t[1]]))
+
+
+@given(cfg=_small_cfgs, seed=_seeds, data=st.data())
+def test_init_draws_each_tensor_by_its_name(cfg, seed, data):
+    full = M.Parameters.init(cfg, seed=seed)
+    shapes = M.param_shapes(cfg)
+    subset = data.draw(st.sets(st.sampled_from(sorted(shapes))), label="subset")
+    part = M.Parameters.init(cfg, seed=seed, shapes={n: shapes[n] for n in subset})
+    assert part.names() == sorted(subset)
+    for name, tensor in part.items():
+        assert np.array_equal(tensor.data, full[name].data), name
+    # one more vocabulary token reshapes three tensors and moves no other
+    wider = replace(cfg, vocab_size=cfg.vocab_size + 1)
+    grown = M.Parameters.init(wider, seed=seed)
+    reshaped = {n for n, s in M.param_shapes(wider).items() if s != shapes[n]}
+    assert reshaped == {"tok_emb", "out.w", "out.b"}
+    for name in set(shapes) - reshaped:
+        assert np.array_equal(grown[name].data, full[name].data), name
+
+
+def test_init_is_independent_of_the_hash_seed():
+    # a name's stream comes from a stable digest, never from the salted hash()
+    script = ("import hashlib, numpy as np\n"
+              "from jointqg import model as M\n"
+              "p = M.Parameters.init(M.ModelConfig(vocab_size=9, d_model=4, encoder_layers=1,"
+              " decoder_layers=1, attention_heads=1, feedforward_dim=4, selector_hidden=2,"
+              " max_len=8), seed=3)\n"
+              "h = hashlib.sha256()\n"
+              "for name, t in p.items():\n"
+              "    h.update(name.encode()); h.update(t.data.tobytes())\n"
+              "print(h.hexdigest())\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.add(out.stdout)
+    assert len(digests) == 1
 
 
 def test_n_scalars_matches_shapes():

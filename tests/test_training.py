@@ -654,6 +654,21 @@ def test_two_step_selector_holds_the_full_draw_of_its_tensors(stall_setup):
         assert np.array_equal(tensor.data, full[name].data), name
 
 
+def test_two_step_stage1_draws_only_the_selector_tensors(stall_setup, monkeypatch):
+    # stage 1 asks for the selector set, stage 2 for the full generator
+    _, _, _, _, cfg = stall_setup
+    real_init = M.Parameters.init.__func__
+    asked = []
+
+    def recording_init(cls, model_cfg, seed=0, shapes=None):
+        asked.append(shapes)
+        return real_init(cls, model_cfg, seed=seed, shapes=shapes)
+
+    monkeypatch.setattr(M.Parameters, "init", classmethod(recording_init))
+    _train(stall_setup, mode="two_step", epochs=0)
+    assert asked == [M.selector_shapes(cfg), None]
+
+
 def test_stage1_loss_actually_falls(selector_run):
     epochs = selector_run["train_cfg"].epochs
     sel = [r["loss_sel"] for r in selector_run["result"].history[:epochs]]
