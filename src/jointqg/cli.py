@@ -9,6 +9,10 @@ Subcommands map onto the library pipeline:
     evaluate       score a predictions file -> report.json
     sweep-k        pipeline once per k, collecting a CSV
     compare-modes  pipeline once per training mode, with metric deltas
+
+A command exits 0 when done and 2 when it refuses its input (a file it
+cannot read, a bad setting), with one ``<command>: <message>`` line on
+stderr; other failures exit 1.
 """
 from __future__ import annotations
 
@@ -114,13 +118,19 @@ def _load_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "config"):  # train, sweep-k and compare-modes
-        try:
-            cfg = _load_config(args)
-        except (OSError, ValueError) as e:  # a SchemaError is a ValueError
-            print(f"--config: {e}", file=sys.stderr)
-            return 2
+    try:  # only train, sweep-k and compare-modes take a config
+        cfg = _load_config(args) if hasattr(args, "config") else None
+    except (OSError, ValueError) as e:  # a SchemaError is a ValueError
+        print(f"--config: {e}", file=sys.stderr)
+        return 2
+    try:
+        return _run(args, cfg)
+    except (OSError, ValueError) as e:  # as is a VocabMismatchError
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return 2
 
+
+def _run(args, cfg: ExperimentConfig | None) -> int:
     if args.command == "prepare":
         examples = C.load_squad_json(args.input)
         C.write_corpus_jsonl(examples, args.out)

@@ -6,8 +6,9 @@ on disk: corpus.jsonl, vocab.txt, labels.jsonl, model.ckpt (plus
 selector.ckpt for two_step), train_log.jsonl, predictions.jsonl and
 report.json. The report embeds the fully resolved configuration, a short
 hash of it, and a content hash of the input data so results stay
-attributable. A lock file guards each run directory against concurrent
-reuse; any stage failure aborts with the stage name while partial
+attributable. Each run creates its directory exclusively, taking the next
+free ``-2``, ``-3``, ... suffix when the name is taken, so no two runs
+share one; any stage failure aborts with the stage name while partial
 artifacts stay on disk for inspection.
 """
 from __future__ import annotations
@@ -171,32 +172,8 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
-class RunLock:
-    """O_EXCL lock file; refuses a directory already in use."""
-
-    def __init__(self, run_dir: str):
-        self.path = os.path.join(run_dir, "lock")
-
-    def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(f"run directory is locked: {self.path}") from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-        return False
-
-
 def _make_run_dir(out_dir: str, config_hash: str) -> str:
     name = f"run-{time.strftime('%Y%m%d-%H%M%S')}-{config_hash}"
-    os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, name)
     run_dir = base
     n = 1
@@ -226,58 +203,57 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
     resolved = cfg.resolved()
     config_hash = _resolved_hash(resolved)
     run_dir = _make_run_dir(cfg.out_dir, config_hash)
-    with RunLock(run_dir):
-        with _stage("prepare"):
-            train_examples = C.load_squad_json(cfg.train_data)
-            C.write_corpus_jsonl(train_examples, os.path.join(run_dir, "corpus.jsonl"))
-            data_hash = _file_sha256(cfg.train_data)
-            if cfg.eval_data and cfg.eval_data != cfg.train_data:
-                eval_examples = C.load_squad_json(cfg.eval_data)
-                data_hash = f"{data_hash}:{_file_sha256(cfg.eval_data)}"
-            else:
-                eval_examples = train_examples
+    with _stage("prepare"):
+        train_examples = C.load_squad_json(cfg.train_data)
+        C.write_corpus_jsonl(train_examples, os.path.join(run_dir, "corpus.jsonl"))
+        data_hash = _file_sha256(cfg.train_data)
+        if cfg.eval_data and cfg.eval_data != cfg.train_data:
+            eval_examples = C.load_squad_json(cfg.eval_data)
+            data_hash = f"{data_hash}:{_file_sha256(cfg.eval_data)}"
+        else:
+            eval_examples = train_examples
 
-        with _stage("vocab"):
-            vocab = Vocabulary.build(train_examples, cfg.vocab_max_size,
-                                     cfg.vocab_min_freq)
-            vocab.save(os.path.join(run_dir, "vocab.txt"))
-            model_cfg = cfg.model_config(len(vocab))
-            train_cfg = cfg.train_config()
+    with _stage("vocab"):
+        vocab = Vocabulary.build(train_examples, cfg.vocab_max_size,
+                                 cfg.vocab_min_freq)
+        vocab.save(os.path.join(run_dir, "vocab.txt"))
+        model_cfg = cfg.model_config(len(vocab))
+        train_cfg = cfg.train_config()
 
-        with _stage("label"):
-            labels = label_examples(train_examples,
-                                    _label_backend(cfg, model_cfg, vocab), cfg.k)
-            qtypes = [question_type_of(ex.document.question) for ex in train_examples]
-            write_labels_jsonl(train_examples, labels,
-                               os.path.join(run_dir, "labels.jsonl"))
+    with _stage("label"):
+        labels = label_examples(train_examples,
+                                _label_backend(cfg, model_cfg, vocab), cfg.k)
+        qtypes = [question_type_of(ex.document.question) for ex in train_examples]
+        write_labels_jsonl(train_examples, labels,
+                           os.path.join(run_dir, "labels.jsonl"))
 
-        with _stage("train"):
-            result = T.train(train_examples, labels, qtypes, vocab, model_cfg,
-                             train_cfg, log_path=os.path.join(run_dir, "train_log.jsonl"))
-            ckpt_path = os.path.join(run_dir, "model.ckpt")
-            M.save_checkpoint(ckpt_path, result.params, model_cfg, vocab,
-                              step=result.steps, seed=train_cfg.seed)
-            if result.selector_params is not None:
-                M.save_checkpoint(os.path.join(run_dir, D.SELECTOR_CHECKPOINT),
-                                  result.selector_params, model_cfg, vocab,
-                                  step=result.steps, seed=train_cfg.seed,
-                                  selector_k=train_cfg.k)
+    with _stage("train"):
+        result = T.train(train_examples, labels, qtypes, vocab, model_cfg,
+                         train_cfg, log_path=os.path.join(run_dir, "train_log.jsonl"))
+        ckpt_path = os.path.join(run_dir, "model.ckpt")
+        M.save_checkpoint(ckpt_path, result.params, model_cfg, vocab,
+                          step=result.steps, seed=train_cfg.seed)
+        if result.selector_params is not None:
+            M.save_checkpoint(os.path.join(run_dir, D.SELECTOR_CHECKPOINT),
+                              result.selector_params, model_cfg, vocab,
+                              step=result.steps, seed=train_cfg.seed,
+                              selector_k=train_cfg.k)
 
-        with _stage("generate"):
-            records = D.generate_file(ckpt_path, eval_examples, vocab,
-                                      os.path.join(run_dir, "predictions.jsonl"),
-                                      cfg.beam_size, cfg.max_decode_len, cfg.length_alpha)
+    with _stage("generate"):
+        records = D.generate_file(ckpt_path, eval_examples, vocab,
+                                  os.path.join(run_dir, "predictions.jsonl"),
+                                  cfg.beam_size, cfg.max_decode_len, cfg.length_alpha)
 
-        with _stage("evaluate"):
-            report = MX.score_predictions(records)
-            MX.write_report_json(report, os.path.join(run_dir, "report.json"), extra={
-                "config": resolved,
-                "config_hash": config_hash,
-                "data_sha256": data_hash,
-                "vocab_size": len(vocab),
-                "selector_f1": result.selector_f1,
-                "train_dropped": result.dropped,
-            })
+    with _stage("evaluate"):
+        report = MX.score_predictions(records)
+        MX.write_report_json(report, os.path.join(run_dir, "report.json"), extra={
+            "config": resolved,
+            "config_hash": config_hash,
+            "data_sha256": data_hash,
+            "vocab_size": len(vocab),
+            "selector_f1": result.selector_f1,
+            "train_dropped": result.dropped,
+        })
     return report, run_dir
 
 

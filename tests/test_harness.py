@@ -65,10 +65,6 @@ def test_pipeline_writes_every_artifact(pipeline_run):
     assert not (run_dir / "selector.ckpt").exists()
 
 
-def test_lock_released_after_run(pipeline_run):
-    assert not (pipeline_run["run_dir"] / "lock").exists()
-
-
 @pytest.mark.parametrize("kind,inits", [("bag_mean", 2), ("model_encoder", 3)])
 def test_label_stage_initialises_parameters_only_for_model_encoder(
         tmp_path, monkeypatch, kind, inits):
@@ -274,19 +270,20 @@ def test_cli_evaluate_reproduces_two_step_report(tmp_path, two_step_run, capsys)
         assert got[key] == want[key], key
 
 
-def test_cli_evaluate_rejects_record_missing_a_key(tmp_path):
+def test_cli_evaluate_rejects_record_missing_a_key(tmp_path, capsys):
     path = tmp_path / "preds.jsonl"
     path.write_text(json.dumps({"id": "a", "prediction": "x", "gold": "y",
                                 "beam_size": 1, "score": -1.0}) + "\n"
                     + json.dumps({"id": "b", "prediction": "x", "beam_size": 1,
                                   "score": -1.0}) + "\n")
-    with pytest.raises(SchemaError, match=r"preds.jsonl:2: .*'gold'"):
-        cli_main(["evaluate", str(path), "--out", str(tmp_path / "r.json")])
+    assert cli_main(["evaluate", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert re.search(r"preds.jsonl:2: .*'gold'", capsys.readouterr().err)
     assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("selector_k", [None, 0])
-def test_cli_generate_rejects_selector_without_k(tmp_path, pipeline_run, selector_k):
+def test_cli_generate_rejects_selector_without_k(tmp_path, pipeline_run, capsys,
+                                                  selector_k):
     cfg = make_cfg(tmp_path / "runs", pipeline_run["data"], epochs=0,
                    mode="two_step")
     _, run_dir = H.run_pipeline(cfg)
@@ -295,11 +292,12 @@ def test_cli_generate_rejects_selector_without_k(tmp_path, pipeline_run, selecto
     sel = M.load_checkpoint(str(run_dir / "selector.ckpt"), expected_vocab=vocab)
     M.save_checkpoint(str(run_dir / "selector.ckpt"), sel.params, sel.config, vocab,
                       selector_k=selector_k)
-    with pytest.raises(SchemaError, match="selector.ckpt"):
-        cli_main(["generate", str(run_dir / "model.ckpt"),
-                  "--data", str(run_dir / "corpus.jsonl"),
-                  "--vocab", str(run_dir / "vocab.txt"),
-                  "--out", str(tmp_path / "preds.jsonl")])
+    assert cli_main(["generate", str(run_dir / "model.ckpt"),
+                     "--data", str(run_dir / "corpus.jsonl"),
+                     "--vocab", str(run_dir / "vocab.txt"),
+                     "--out", str(tmp_path / "preds.jsonl")]) == 2
+    assert re.search("selector.ckpt", capsys.readouterr().err)
+    assert not (tmp_path / "preds.jsonl").exists()
 
 
 def test_separate_eval_data(tmp_path):
@@ -355,7 +353,6 @@ def test_bad_backend_fails_in_label_stage_keeping_partials(tmp_path, pipeline_ru
     assert (run_dirs[0] / "corpus.jsonl").is_file()
     assert (run_dirs[0] / "vocab.txt").is_file()
     assert not (run_dirs[0] / "labels.jsonl").exists()
-    assert not (run_dirs[0] / "lock").exists()
 
 
 def test_bogus_backend_refused_before_any_run_dir(tmp_path, pipeline_run):
@@ -415,15 +412,18 @@ def test_stage_rewraps_failures_and_passes_stage_errors_through():
     assert exc.value is inner
 
 
-def test_run_lock_contention(tmp_path):
-    with H.RunLock(str(tmp_path)):
-        assert (tmp_path / "lock").is_file()
-        with pytest.raises(RuntimeError, match="locked"):
-            with H.RunLock(str(tmp_path)):
-                pass
-    assert not (tmp_path / "lock").exists()
-    with H.RunLock(str(tmp_path)):
-        pass  # reusable once released
+def test_runs_started_in_one_second_get_their_own_directories(tmp_path, monkeypatch,
+                                                               pipeline_run):
+    monkeypatch.setattr(H.time, "strftime", lambda fmt, *t: "20260101-000000")
+    cfg = make_cfg(tmp_path, pipeline_run["data"], epochs=0)
+    run_dirs = [pathlib.Path(H.run_pipeline(cfg)[1]) for _ in range(2)]
+    name = f"run-20260101-000000-{cfg.config_hash()}"
+    assert [d.name for d in run_dirs] == [name, f"{name}-2"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name, f"{name}-2"]
+    for run_dir in run_dirs:
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(ARTIFACTS)
+    first, second = ((d / "predictions.jsonl").read_bytes() for d in run_dirs)
+    assert first == second
 
 
 # ------------------------------------------------------------ batch studies
@@ -762,6 +762,31 @@ def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys,
     err = capsys.readouterr().err
     assert re.fullmatch(message + "\n", err), err
     assert not out.exists() and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["label", "{corpus}", "--out", "{out}", "--k", "0"], r"label: k must be at least 1"),
+    (["label", "{corpus}", "--out", "{out}", "--dim", "0"], r"label: dim must be positive"),
+    (["generate", "{ckpt}", "--data", "{corpus}", "--vocab", "{vocab}", "--out", "{out}",
+      "--beam", "0"], r"generate: beam_size must be at least 1"),
+    (["prepare", "{absent}", "--out", "{out}"],
+     r"prepare: \[Errno 2\] No such file or directory: '.*absent\.json'"),
+    (["evaluate", "{absent}", "--out", "{out}"],
+     r"evaluate: \[Errno 2\] No such file or directory: '.*absent\.json'"),
+], ids=["label-k-0", "label-dim-0", "generate-beam-0", "prepare-missing-file",
+        "evaluate-missing-file"])
+def test_cli_refuses_bad_input_with_a_message(tmp_path, pipeline_run, capsys, argv,
+                                              message):
+    run_dir = pipeline_run["run_dir"]
+    paths = {"corpus": run_dir / "corpus.jsonl", "vocab": run_dir / "vocab.txt",
+             "ckpt": run_dir / "model.ckpt", "absent": tmp_path / "absent.json",
+             "out": tmp_path / "out.jsonl"}
+    before = sorted(tmp_path.rglob("*"))
+    assert cli_main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(message + "\n", captured.err), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("argv,written", [
