@@ -161,11 +161,7 @@ def _run(args, cfg: ExperimentConfig | None) -> int:
         return 0
 
     if args.command == "evaluate":
-        records = D.read_predictions_jsonl(args.predictions)
-        if not records:
-            print("no predictions to score", file=sys.stderr)
-            return 1
-        report = MX.score_predictions(records)
+        report = MX.score_predictions(D.read_predictions_jsonl(args.predictions))
         MX.write_report_json(report, args.out)
         print(json.dumps(report.summary(), indent=1))
         return 0

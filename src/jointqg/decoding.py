@@ -229,6 +229,9 @@ def write_predictions_jsonl(records: list[dict], path: str) -> None:
 
 def read_predictions_jsonl(path: str) -> list[dict]:
     """The records of a predictions file; a repeated id is refused, since
-    scoring would count that example twice."""
-    return list(read_keyed_jsonl(
+    scoring would count that example twice, and so is a file with none."""
+    records = list(read_keyed_jsonl(
         path, lambda rec: (str(_checked_prediction(rec)["id"]), rec)).values())
+    if not records:
+        raise SchemaError(f"{path}: no predictions")
+    return records

@@ -7,8 +7,8 @@ list:
                         dependency-free lexical-overlap proxy.
 * ``precomputed_file``  token vectors loaded from a TSV dump, mean pooled;
                         the drop-in point for real embedding-model output.
-* ``model_encoder``     mean of the current encoder's token states, so
-                        labels can track the model being trained.
+* ``model_encoder``     mean of the token states of a model's encoder; the
+                        label stage gives it a freshly initialised one.
 
 All backends are read-only after construction apart from internal caching.
 """
@@ -132,7 +132,10 @@ class ModelEncoderBackend:
     """Mean of encoder token states for the given token list.
 
     Tokens are encoded with the model vocabulary and wrapped as
-    [CLS] tokens [SEP]; the mean excludes those wrapper positions.
+    [CLS] tokens [SEP]; the mean excludes those wrapper positions. The
+    encoder is whatever `params` hold; the label stage passes a fresh
+    initialisation of a selector's tensors, so labels never depend on
+    training.
     """
 
     def __init__(self, params, config, vocab):

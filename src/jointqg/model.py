@@ -5,10 +5,10 @@ states. Sentence vectors are grouped means of token states by sentence
 ordinal; the selector scores each sentence vector with two feed-forward
 layers and maps the output o to a probability p = 1 / (1 + exp(o)), so a
 large positive o means irrelevant. The decoder generates the question with
-causal self-attention plus cross-attention over either all encoder token
-states (conditioning_mode "token_attention") or the single pooled vector
-("pooled"). An auxiliary head classifies the question type from the pooled
-vector.
+causal self-attention plus cross-attention over all encoder token states,
+so it reads the whole context through the encoder it shares with the
+selector. An auxiliary head classifies the question type from the mean of
+the token states.
 
 Attention masking adds -1e9 to blocked score positions before softmax,
 which underflows to an exact zero weight, so padding cannot leak into real
@@ -47,8 +47,6 @@ class ModelConfig:
     feedforward_dim: int = 256
     selector_hidden: int = 128
     max_len: int = 256
-    dropout: float = 0.0
-    conditioning_mode: str = "token_attention"
 
     def validate(self) -> None:
         if self.vocab_size < 7:
@@ -61,10 +59,6 @@ class ModelConfig:
             raise ValueError("d_model must be a positive multiple of attention_heads")
         if self.max_len < 8:
             raise ValueError("max_len must be at least 8")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.conditioning_mode not in ("token_attention", "pooled"):
-            raise ValueError(f"unknown conditioning_mode '{self.conditioning_mode}'")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -189,7 +183,6 @@ class EncoderOutput:
     """Per-example encoder products, batch dimension stripped."""
 
     token_states: np.ndarray      # (T, d)
-    pooled: np.ndarray            # (d,)
     sentence_vectors: np.ndarray  # (n_sentences, d)
 
 
@@ -204,13 +197,6 @@ def _layer_norm(x: Tensor, p: Parameters, prefix: str) -> Tensor:
     var = ad.tmean(xc * xc, axis=-1, keepdims=True)
     inv = ad.power(var + _LN_EPS, -0.5)
     return xc * inv * p[f"{prefix}.g"] + p[f"{prefix}.b"]
-
-
-def _dropout(x: Tensor, rate: float, train: bool, rng) -> Tensor:
-    if not train or rate == 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -256,22 +242,19 @@ def causal_bias(t: int) -> np.ndarray:
 
 
 def encoder_states(token_ids: np.ndarray, nonpad: np.ndarray, p: Parameters,
-                   cfg: ModelConfig, train: bool = False, rng=None) -> Tensor:
+                   cfg: ModelConfig) -> Tensor:
     """Batched encoder forward; returns final token states (B, T, d)."""
     bsz, t = token_ids.shape
     if t > cfg.max_len:
         raise ValueError(f"input length {t} exceeds max_len {cfg.max_len}")
     x = ad.getitem(p["tok_emb"], token_ids) * (cfg.d_model ** 0.5)
     x = x + ad.getitem(p["pos_enc"], np.arange(t))
-    x = _dropout(x, cfg.dropout, train, rng)
     bias = key_padding_bias(nonpad)
     for i in range(cfg.encoder_layers):
         h = _layer_norm(x, p, f"enc{i}.ln1")
         k, v = _attention_kv(h, p, f"enc{i}.attn", cfg.attention_heads)
-        x = x + _dropout(_attend(h, k, v, bias, p, f"enc{i}.attn", cfg.attention_heads),
-                         cfg.dropout, train, rng)
-        x = x + _dropout(_ffn(_layer_norm(x, p, f"enc{i}.ln2"), p, f"enc{i}.ff"),
-                         cfg.dropout, train, rng)
+        x = x + _attend(h, k, v, bias, p, f"enc{i}.attn", cfg.attention_heads)
+        x = x + _ffn(_layer_norm(x, p, f"enc{i}.ln2"), p, f"enc{i}.ff")
         _check_finite(x, f"encoder layer {i}")
     return _layer_norm(x, p, "enc_ln_f")
 
@@ -333,8 +316,8 @@ def _decoder_embed(dec_ids: np.ndarray, start: int, p: Parameters,
 
 def _decoder_layer(y: Tensor, i: int, past_kv: tuple[Tensor, Tensor] | None,
                    self_bias: np.ndarray | None, cross_kv: tuple[Tensor, Tensor],
-                   cross_bias: np.ndarray | None, p: Parameters, cfg: ModelConfig,
-                   train: bool = False, rng=None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+                   cross_bias: np.ndarray | None, p: Parameters,
+                   cfg: ModelConfig) -> tuple[Tensor, tuple[Tensor, Tensor]]:
     """Decoder block i over the rows of y. Self-attention sees past_kv (the
     keys and values of earlier positions, or None) followed by the rows'
     own; returns the new rows and those extended keys and values. The
@@ -345,13 +328,10 @@ def _decoder_layer(y: Tensor, i: int, past_kv: tuple[Tensor, Tensor] | None,
     if past_kv is not None:
         k, v = (Tensor(np.concatenate([old.data, new.data], axis=2))
                 for old, new in zip(past_kv, (k, v)))
-    y = y + _dropout(_attend(h, k, v, self_bias, p, f"dec{i}.self", heads),
-                     cfg.dropout, train, rng)
-    y = y + _dropout(_attend(_layer_norm(y, p, f"dec{i}.ln2"), *cross_kv, cross_bias,
-                             p, f"dec{i}.cross", heads),
-                     cfg.dropout, train, rng)
-    y = y + _dropout(_ffn(_layer_norm(y, p, f"dec{i}.ln3"), p, f"dec{i}.ff"),
-                     cfg.dropout, train, rng)
+    y = y + _attend(h, k, v, self_bias, p, f"dec{i}.self", heads)
+    y = y + _attend(_layer_norm(y, p, f"dec{i}.ln2"), *cross_kv, cross_bias,
+                    p, f"dec{i}.cross", heads)
+    y = y + _ffn(_layer_norm(y, p, f"dec{i}.ln3"), p, f"dec{i}.ff")
     _check_finite(y, f"decoder layer {i}")
     return y, (k, v)
 
@@ -365,26 +345,16 @@ def _decoder_head(y: Tensor, p: Parameters) -> Tensor:
 
 def decoder_logits(dec_ids: np.ndarray, memory: Tensor,
                    memory_bias: np.ndarray | None, p: Parameters,
-                   cfg: ModelConfig, train: bool = False, rng=None) -> Tensor:
+                   cfg: ModelConfig) -> Tensor:
     """Teacher-forced decoder forward; returns logits (B, U, V)."""
     u = dec_ids.shape[1]
     _check_target_length(u, cfg)
-    y = _dropout(_decoder_embed(dec_ids, 0, p, cfg), cfg.dropout, train, rng)
+    y = _decoder_embed(dec_ids, 0, p, cfg)
     self_bias = causal_bias(u)
     for i in range(cfg.decoder_layers):
         cross_kv = _attention_kv(memory, p, f"dec{i}.cross", cfg.attention_heads)
-        y, _ = _decoder_layer(y, i, None, self_bias, cross_kv, memory_bias, p, cfg,
-                              train, rng)
+        y, _ = _decoder_layer(y, i, None, self_bias, cross_kv, memory_bias, p, cfg)
     return _decoder_head(y, p)
-
-
-def conditioning_memory(token_states: Tensor, pooled: Tensor,
-                        nonpad: np.ndarray, cfg: ModelConfig):
-    """Memory tensor and key bias for the configured conditioning mode."""
-    if cfg.conditioning_mode == "token_attention":
-        return token_states, key_padding_bias(nonpad)
-    bsz, d = pooled.shape
-    return pooled.reshape((bsz, 1, d)), None
 
 
 # single-example convenience API
@@ -418,10 +388,8 @@ def reconstruct_sentence_vectors(token_states: np.ndarray,
 def encoder_forward(model_input: ModelInput, p: Parameters, cfg: ModelConfig) -> EncoderOutput:
     """Run the encoder on one assembled input, gradient-free."""
     token_states = encode_token_ids(model_input.token_ids, p, cfg)
-    pooled = pooled_vector(Tensor(token_states[None]), np.ones((1, len(token_states))))
     return EncoderOutput(
         token_states=token_states,
-        pooled=pooled.data[0],
         sentence_vectors=reconstruct_sentence_vectors(token_states, model_input.sentence_index),
     )
 
@@ -456,11 +424,8 @@ class DecoderSession:
     def __init__(self, enc: EncoderOutput, p: Parameters, cfg: ModelConfig):
         self.p = p
         self.cfg = cfg
-        t = enc.token_states.shape[0]
-        states = Tensor(enc.token_states[None])
-        pooled = Tensor(enc.pooled[None])
-        self.memory, self.memory_bias = conditioning_memory(
-            states, pooled, np.ones((1, t)), cfg)
+        self.memory = Tensor(enc.token_states[None])
+        self.memory_bias = key_padding_bias(np.ones((1, enc.token_states.shape[0])))
         with ad.no_grad():
             self.cross_kv = [_attention_kv(self.memory, p, f"dec{i}.cross",
                                            cfg.attention_heads)

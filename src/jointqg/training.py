@@ -26,9 +26,8 @@ from . import autodiff as ad
 from . import model as M
 from .autodiff import Tensor
 from .corpus import QAExample
-from .embedding import ModelEncoderBackend
 from .errors import InputTooLongError, NumericError
-from .labeler import RelevanceLabels, label_examples, question_type_index, rank_sentences
+from .labeler import RelevanceLabels, question_type_index, rank_sentences
 from .tokenizer import (BOS_ID, EOS_ID, PAD_ID, ModelInput, Vocabulary,
                         assemble_model_input, pad_batch, pad_rows)
 
@@ -53,7 +52,6 @@ class TrainConfig:
     seed: int = 0
     k: int = 4
     max_question_len: int = 32
-    refresh_labels_each_epoch: bool = False
 
     def validate(self) -> None:
         if self.mode not in TRAIN_MODES:
@@ -235,13 +233,11 @@ class TrainResult:
     steps: int = 0
 
 
-def _batch_losses(batch, params, model_cfg, mode, lam, dropout_rng):
+def _batch_losses(batch, params, model_cfg, mode, lam):
     """Forward one batch; returns (total, sel_value, gen_value) Tensors or
     None where a branch is unused."""
     enc = pad_batch([pe.model_input for pe in batch])
-    train_flag = model_cfg.dropout > 0.0
-    states = M.encoder_states(enc["token_ids"], enc["nonpad"], params, model_cfg,
-                              train=train_flag, rng=dropout_rng)
+    states = M.encoder_states(enc["token_ids"], enc["nonpad"], params, model_cfg)
     sel_loss = None
     gen_loss = None
     if mode in _RELEVANCE_MODES:
@@ -257,13 +253,12 @@ def _batch_losses(batch, params, model_cfg, mode, lam, dropout_rng):
         # teacher forcing: BOS, then each real target but the last
         dec_in = np.full_like(targets, BOS_ID)
         dec_in[:, 1:] = np.where(gen_mask[:, 1:], targets[:, :-1], PAD_ID)
-        pooled = M.pooled_vector(states, enc["nonpad"])
-        memory, mem_bias = M.conditioning_memory(states, pooled, enc["nonpad"], model_cfg)
-        logits = M.decoder_logits(dec_in, memory, mem_bias, params, model_cfg,
-                                  train=train_flag, rng=dropout_rng)
+        logits = M.decoder_logits(dec_in, states, M.key_padding_bias(enc["nonpad"]),
+                                  params, model_cfg)
         gen_loss = _generation_loss_t(logits, targets, gen_mask)
-    if mode == "aux_qtc":  # shares the pooled vector of the branch above
+    if mode == "aux_qtc":
         qtypes = np.asarray([pe.qtype for pe in batch], dtype=np.int64)
+        pooled = M.pooled_vector(states, enc["nonpad"])
         sel_loss = _qtype_loss_t(M.qtype_logits(pooled, params), qtypes)
 
     if mode == "generation_only":
@@ -275,15 +270,14 @@ def _batch_losses(batch, params, model_cfg, mode, lam, dropout_rng):
     return total, sel_loss, gen_loss
 
 
-def _backward_step(batch, params, model_cfg, mode, lam, dropout_rng,
+def _backward_step(batch, params, model_cfg, mode, lam,
                    step) -> tuple[float, float, float]:
     """Forward and backward one batch into the parameters' .grad; returns
     the (total, selection, generation) loss values, 0.0 for an unused
     branch. The step's graph is released on return, so the next forward
     never runs while an older graph is still alive."""
     params.zero_grad()
-    total, sel_l, gen_l = _batch_losses(batch, params, model_cfg, mode, lam,
-                                        dropout_rng)
+    total, sel_l, gen_l = _batch_losses(batch, params, model_cfg, mode, lam)
     if not np.isfinite(total.data):
         raise NumericError("non-finite loss", where=f"step {step}")
     ad.backward(total)
@@ -291,20 +285,13 @@ def _backward_step(batch, params, model_cfg, mode, lam, dropout_rng,
             gen_l.item() if gen_l is not None else 0.0)
 
 
-def _run_stage(prepared, params, vocab, model_cfg, train_cfg, mode, history,
-               log_fh, order_rng, dropout_rng, record_mode=None,
-               step_offset=0) -> int:
+def _run_stage(prepared, params, model_cfg, train_cfg, mode, history,
+               log_fh, order_rng, record_mode=None, step_offset=0) -> int:
     adam = Adam(params, train_cfg.learning_rate, train_cfg.adam_beta1,
                 train_cfg.adam_beta2, train_cfg.adam_eps, train_cfg.weight_decay)
     step = step_offset
     n = len(prepared)
     for epoch in range(train_cfg.epochs):
-        if train_cfg.refresh_labels_each_epoch and mode in _RELEVANCE_MODES:
-            # relabel with the encoder as it stands
-            live = ModelEncoderBackend(params, model_cfg, vocab)
-            fresh = label_examples([pe.example for pe in prepared], live, train_cfg.k)
-            for pe, lab in zip(prepared, fresh):
-                pe.relevance = _relevance(lab, pe.model_input)
         started = time.monotonic()
         order = order_rng.permutation(n)
         sums = {"total": 0.0, "sel": 0.0, "gen": 0.0}
@@ -313,8 +300,7 @@ def _run_stage(prepared, params, vocab, model_cfg, train_cfg, mode, history,
             batch = [prepared[i] for i in order[lo:lo + train_cfg.batch_size]]
             step += 1
             total, sel_l, gen_l = _backward_step(batch, params, model_cfg, mode,
-                                                 train_cfg.lambda_weight,
-                                                 dropout_rng, step)
+                                                 train_cfg.lambda_weight, step)
             adam.step()
             b = len(batch)
             sums["total"] += total * b
@@ -389,9 +375,9 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
         raise ValueError("no training examples")
 
     ss = np.random.SeedSequence(train_cfg.seed)
-    init_ss, order_ss, dropout_ss, stage2_ss = ss.spawn(4)
+    # child 2 is unused; spawning it keeps stage 2 on child 3
+    init_ss, order_ss, _, stage2_ss = ss.spawn(4)
     order_rng = np.random.default_rng(order_ss)
-    dropout_rng = np.random.default_rng(dropout_ss)
 
     two_step = train_cfg.mode == "two_step"
     params = M.Parameters.init(model_cfg, seed=init_ss,
@@ -402,9 +388,9 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         if two_step:
-            steps = _run_stage(prepared, params, vocab, model_cfg, train_cfg,
+            steps = _run_stage(prepared, params, model_cfg, train_cfg,
                                "two_step_stage1", history, log_fh, order_rng,
-                               dropout_rng, record_mode="two_step:stage1")
+                               record_mode="two_step:stage1")
             inputs, probs = selector_cut([pe.model_input for pe in prepared],
                                          params, model_cfg, train_cfg.k)
             f1 = selector_f1(prepared, probs)
@@ -413,16 +399,16 @@ def train(examples: list[QAExample], labels: list[RelevanceLabels],
                       for pe, mi in zip(prepared, inputs)]
             init2_ss, order2_ss = stage2_ss.spawn(2)
             gen_params = M.Parameters.init(model_cfg, seed=init2_ss)
-            steps = _run_stage(stage2, gen_params, vocab, model_cfg, train_cfg,
+            steps = _run_stage(stage2, gen_params, model_cfg, train_cfg,
                                "generation_only", history, log_fh,
-                               np.random.default_rng(order2_ss), dropout_rng,
+                               np.random.default_rng(order2_ss),
                                record_mode="two_step:stage2", step_offset=steps)
             return TrainResult(params=gen_params, history=history,
                                selector_params=params, selector_f1=f1,
                                dropped=dropped, steps=steps)
 
-        steps = _run_stage(prepared, params, vocab, model_cfg, train_cfg,
-                           train_cfg.mode, history, log_fh, order_rng, dropout_rng)
+        steps = _run_stage(prepared, params, model_cfg, train_cfg,
+                           train_cfg.mode, history, log_fh, order_rng)
         return TrainResult(params=params, history=history, dropped=dropped,
                            steps=steps)
     finally:

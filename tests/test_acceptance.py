@@ -70,7 +70,7 @@ def test_criterion_01_loss_composition():
 
     def grads_of(part):
         params.zero_grad()
-        total, sel_l, gen_l = T._batch_losses(batch, params, cfg, "joint", 0.5, None)
+        total, sel_l, gen_l = T._batch_losses(batch, params, cfg, "joint", 0.5)
         ad.backward({"total": total, "sel": sel_l, "gen": gen_l}[part])
         return _grad_arrays(params)
 
@@ -98,11 +98,11 @@ def test_criterion_02_finite_difference_gradients():
 
     def loss_value():
         with ad.no_grad():
-            total, _, _ = T._batch_losses(batch, params, cfg, "joint", 0.5, None)
+            total, _, _ = T._batch_losses(batch, params, cfg, "joint", 0.5)
         return float(total.data)
 
     params.zero_grad()
-    total, _, _ = T._batch_losses(batch, params, cfg, "joint", 0.5, None)
+    total, _, _ = T._batch_losses(batch, params, cfg, "joint", 0.5)
     ad.backward(total)
     analytic = _grad_arrays(params)
 

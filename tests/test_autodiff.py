@@ -435,7 +435,7 @@ def test_dropping_a_step_graph_frees_it_without_the_cycle_collector(
     try:
         before = _live_nodes()
         total, sel_l, gen_l = T._batch_losses(prepared, params, tiny_model_cfg,
-                                              "joint", 0.5, None)
+                                              "joint", 0.5)
         ad.backward(total)
         assert _live_nodes() > before
         param_ids = {id(p.data) for _, p in params.items()}

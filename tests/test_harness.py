@@ -674,14 +674,6 @@ def test_cli_evaluate_scores_predictions(tmp_path, pipeline_run, capsys):
     assert "bleu4" in capsys.readouterr().out
 
 
-def test_cli_evaluate_empty_predictions_fails(tmp_path, capsys):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    assert cli_main(["evaluate", str(empty),
-                     "--out", str(tmp_path / "r.json")]) == 1
-    assert "no predictions" in capsys.readouterr().err
-
-
 def test_cli_sweep_k(tmp_path, pipeline_run, capsys):
     cfg_path = write_exp_config(tmp_path, pipeline_run["data"], epochs=0)
     out = tmp_path / "sweep"
@@ -732,9 +724,14 @@ def _bad_config(tmp_path, data, case):
 
 _BAD_VALUES = {"zero-beam": {"beam_size": 0}, "str-k": {"k": "2"},
                "str-beam": {"beam_size": "1"}, "str-d-model": {"model": {"d_model": "16"}},
-               "str-backend": {"backend": "bag_mean"}, "bogus-backend": {"backend": {"kind": "bogus"}}}
+               "str-backend": {"backend": "bag_mean"}, "bogus-backend": {"backend": {"kind": "bogus"}},
+               # switches that no longer exist
+               "removed-dropout": {"model": {"dropout": 0.1}},
+               "removed-conditioning-mode": {"model": {"conditioning_mode": "pooled"}},
+               "removed-refresh": {"train": {"refresh_labels_each_epoch": True}}}
 _WRONG_TYPE = r"--config: .*exp\.json: a setting has the wrong type \(.*\)"
 _NOT_A_FILE = r"--config: .*exp\.json: {} '.*absent\.json' is not a file"
+_UNKNOWN = r"--config: .*exp\.json: unknown {} fields: \['{}'\]"
 
 
 @pytest.mark.parametrize("case,message", [
@@ -749,9 +746,12 @@ _NOT_A_FILE = r"--config: .*exp\.json: {} '.*absent\.json' is not a file"
     ("missing-train-data", _NOT_A_FILE.format("train_data")),
     ("missing-eval-data", _NOT_A_FILE.format("eval_data")),
     ("missing-source", _NOT_A_FILE.format(r"backend\.source")),
+    ("removed-dropout", _UNKNOWN.format("model", "dropout")),
+    ("removed-conditioning-mode", _UNKNOWN.format("model", "conditioning_mode")),
+    ("removed-refresh", _UNKNOWN.format("train", "refresh_labels_each_epoch")),
 ], ids=["missing-file", "no-out-dir", "zero-beam", "str-k", "str-beam", "str-d-model",
         "str-backend", "bogus-backend", "missing-train-data", "missing-eval-data",
-        "missing-source"])
+        "missing-source", "removed-dropout", "removed-conditioning-mode", "removed-refresh"])
 @pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k-list", "1,2"], ["compare-modes"]],
                          ids=["train", "sweep-k", "compare-modes"])
 def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys, argv, case,
@@ -773,14 +773,16 @@ def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys,
      r"prepare: \[Errno 2\] No such file or directory: '.*absent\.json'"),
     (["evaluate", "{absent}", "--out", "{out}"],
      r"evaluate: \[Errno 2\] No such file or directory: '.*absent\.json'"),
+    (["evaluate", "{empty}", "--out", "{out}"], r"evaluate: .*empty\.jsonl: no predictions"),
 ], ids=["label-k-0", "label-dim-0", "generate-beam-0", "prepare-missing-file",
-        "evaluate-missing-file"])
+        "evaluate-missing-file", "evaluate-empty-file"])
 def test_cli_refuses_bad_input_with_a_message(tmp_path, pipeline_run, capsys, argv,
                                               message):
     run_dir = pipeline_run["run_dir"]
     paths = {"corpus": run_dir / "corpus.jsonl", "vocab": run_dir / "vocab.txt",
              "ckpt": run_dir / "model.ckpt", "absent": tmp_path / "absent.json",
-             "out": tmp_path / "out.jsonl"}
+             "empty": tmp_path / "empty.jsonl", "out": tmp_path / "out.jsonl"}
+    paths["empty"].write_text("")
     before = sorted(tmp_path.rglob("*"))
     assert cli_main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()

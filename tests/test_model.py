@@ -4,6 +4,7 @@ import hashlib
 import io
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -137,8 +138,8 @@ def test_parameters_copy_is_independent():
     dict(vocab_size=6),
     dict(vocab_size=20, d_model=15),           # not a multiple of heads
     dict(vocab_size=20, max_len=4),
-    dict(vocab_size=20, dropout=1.0),
-    dict(vocab_size=20, conditioning_mode="full"),
+    dict(vocab_size=20, attention_heads=0),    # must fail before the modulo
+    dict(vocab_size=20, decoder_layers=0),
     dict(vocab_size=20, encoder_layers=0),
 ])
 def test_config_validation(bad):
@@ -147,7 +148,7 @@ def test_config_validation(bad):
 
 
 def test_config_dict_round_trip():
-    cfg = small_model_cfg(20, conditioning_mode="pooled", dropout=0.1)
+    cfg = small_model_cfg(20, decoder_layers=3, max_len=40)
     assert M.ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -406,17 +407,15 @@ def test_encoder_forward_output_shapes(ibm_example, tiny_vocab):
     t = mi.length
     assert mi.n_sentences == 4
     assert enc.token_states.shape == (t, cfg.d_model)
-    assert enc.pooled.shape == (cfg.d_model,)
     assert enc.sentence_vectors.shape == (4, cfg.d_model)
-    assert np.abs(enc.pooled - enc.token_states.mean(axis=0)).max() < 1e-9
     want = M.reconstruct_sentence_vectors(enc.token_states, mi.sentence_index)
     assert np.array_equal(enc.sentence_vectors, want)
 
 
-@pytest.mark.parametrize("mode", ["token_attention", "pooled"])
+@pytest.mark.parametrize("mode", ["token_attention"])
 def test_next_token_distribution_sums_to_one(ibm_example, tiny_vocab,
                                              tiny_params, mode):
-    cfg = small_model_cfg(len(tiny_vocab), conditioning_mode=mode)
+    cfg = small_model_cfg(len(tiny_vocab))
     enc = _encoded(ibm_example, tiny_vocab, tiny_params, cfg)
     for prefix in ([], [8], [8, 9, 10]):
         dist = M.decoder_step(enc, prefix, tiny_params, cfg)
@@ -457,13 +456,12 @@ def _sharp_params(cfg, seed=7):
     return p
 
 
-@pytest.fixture(scope="module", params=["token_attention", "pooled"])
+@pytest.fixture(scope="module", params=["token_attention"])
 def session_setup(request):
-    cfg = small_model_cfg(40, decoder_layers=2, max_len=24,
-                          conditioning_mode=request.param)
+    cfg = small_model_cfg(40, decoder_layers=2, max_len=24)
     p = _sharp_params(cfg)
     states = M.encode_token_ids(_rand_ids(np.random.default_rng(4), 11, 40), p, cfg)
-    return cfg, p, M.EncoderOutput(states, states.mean(axis=0), states[:2])
+    return cfg, p, M.EncoderOutput(states, states[:2])
 
 
 def _full_recompute(session, prefix):
@@ -524,12 +522,11 @@ def test_session_beam_like_branching_is_bitwise_stable(session_setup):
                                                        min(4, len(children)), replace=False))]
 
 
-@pytest.mark.parametrize("mode", ["token_attention", "pooled"])
+@pytest.mark.parametrize("mode", ["token_attention"])
 @pytest.mark.parametrize("beam", [1, 2, 3, 4, 5])
 def test_session_and_full_recompute_decode_the_same_ids(ibm_example, tiny_vocab,
                                                         mode, beam):
-    cfg = small_model_cfg(len(tiny_vocab), decoder_layers=2, max_len=128,
-                          conditioning_mode=mode)
+    cfg = small_model_cfg(len(tiny_vocab), decoder_layers=2, max_len=128)
     p = _sharp_params(cfg)
     session = M.DecoderSession(_encoded(ibm_example, tiny_vocab, p, cfg), p, cfg)
     cached = beam_search_nbest(session.step_logprobs, beam, max_len=12)
@@ -611,24 +608,6 @@ def test_numeric_error_names_decoder_layer_and_head(oracle_setup):
     q["out.b"].data[:] = np.inf
     with pytest.raises(NumericError, match="output projection"):
         M.decoder_logits(ids, memory, None, q, cfg)
-
-
-# -------------------------------------------------------------- dropout
-
-def test_dropout_changes_training_forward_only(oracle_setup):
-    cfg_drop = small_model_cfg(24, dropout=0.5)
-    params = M.Parameters.init(cfg_drop, seed=3)
-    ids = np.array([[6, 7, 8, 9]])
-    nonpad = np.ones_like(ids)
-    eval_a = M.encoder_states(ids, nonpad, params, cfg_drop).data
-    eval_b = M.encoder_states(ids, nonpad, params, cfg_drop).data
-    assert np.array_equal(eval_a, eval_b)
-    train_out = M.encoder_states(ids, nonpad, params, cfg_drop, train=True,
-                                 rng=np.random.default_rng(0)).data
-    assert not np.array_equal(train_out, eval_a)
-    same = M.encoder_states(ids, nonpad, params, cfg_drop, train=True,
-                            rng=np.random.default_rng(0)).data
-    assert np.array_equal(train_out, same)
 
 
 # ------------------------------------------------------------ checkpoints
@@ -751,6 +730,25 @@ def test_checkpoint_bad_metadata_value_rejected(tmp_path, tiny_params, tiny_mode
     bad = str(tmp_path / "bad.ckpt")
     _tampered_copy(src, bad, replace=("meta.json", _json.dumps(meta).encode()))
     with pytest.raises(SchemaError, match="bad checkpoint metadata"):
+        M.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("field, value", [("dropout", 0.0),
+                                          ("conditioning_mode", "token_attention")])
+def test_checkpoint_with_a_removed_config_field_rejected(tmp_path, tiny_params,
+                                                         tiny_model_cfg, tiny_vocab,
+                                                         field, value):
+    # a checkpoint written while ModelConfig still had these fields
+    import json as _json
+    src = str(tmp_path / "good.ckpt")
+    M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
+    with zipfile.ZipFile(src) as zf:
+        meta = _json.loads(zf.read("meta.json"))
+    meta["config"][field] = value
+    bad = str(tmp_path / "old.ckpt")
+    _tampered_copy(src, bad, replace=("meta.json", _json.dumps(meta).encode()))
+    with pytest.raises(SchemaError, match=rf"^{re.escape(bad)}: bad checkpoint metadata "
+                                          rf"\(.*unexpected keyword argument '{field}'\)$"):
         M.load_checkpoint(bad)
 
 

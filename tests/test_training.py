@@ -14,7 +14,7 @@ from jointqg import decoding as D
 from jointqg import model as M
 from jointqg import training as T
 from jointqg.autodiff import Tensor
-from jointqg.embedding import BagMeanBackend, ModelEncoderBackend
+from jointqg.embedding import BagMeanBackend
 from jointqg.errors import NumericError
 from jointqg.labeler import RelevanceLabels, label_examples, question_type_of
 from jointqg.model import Checkpoint, Parameters
@@ -314,10 +314,10 @@ def _record_batches(monkeypatch, mode):
     seen = {}
     real = T._batch_losses
 
-    def spy(batch, params, model_cfg, batch_mode, lam, dropout_rng):
+    def spy(batch, params, model_cfg, batch_mode, lam):
         if batch_mode == mode:
             seen.update((pe.source_index, pe) for pe in batch)
-        return real(batch, params, model_cfg, batch_mode, lam, dropout_rng)
+        return real(batch, params, model_cfg, batch_mode, lam)
 
     monkeypatch.setattr(T, "_batch_losses", spy)
     return seen
@@ -423,7 +423,7 @@ def _fed_arrays(batch, mode):
         mp.setattr(T, "_selection_loss_t", spy_sel)
         mp.setattr(T, "_generation_loss_t", spy_gen)
         mp.setattr(T.M, "decoder_logits", spy_dec)
-        T._batch_losses(batch, params, cfg, mode, 0.5, None)
+        T._batch_losses(batch, params, cfg, mode, 0.5)
     return got
 
 
@@ -447,7 +447,7 @@ def test_batch_arrays_match_the_frozen_padders(picks):
     else:
         # one column and an all-zero mask, refused by the selection loss
         with pytest.raises(ValueError, match="no sentences"):
-            T._batch_losses(batch, params, cfg, "joint", 0.5, None)
+            T._batch_losses(batch, params, cfg, "joint", 0.5)
         got = _fed_arrays(batch, "generation_only")
         got["labels"], got["sel_mask"] = pad_rows([pe.relevance for pe in batch], 0)
     for key, want in (("labels", sel["labels"]), ("sel_mask", sel["mask"]),
@@ -500,7 +500,7 @@ def test_joint_total_is_weighted_sum(stall_setup):
     params = Parameters.init(cfg, seed=1)
     lam = 0.3
     total, sel_l, gen_l = T._batch_losses(prepared[:4], params, cfg, "joint",
-                                          lam, None)
+                                          lam)
     assert total.item() == T.joint_loss(sel_l.item(), gen_l.item(), lam)
 
     # gradients compose linearly with the same weights
@@ -509,12 +509,12 @@ def test_joint_total_is_weighted_sum(stall_setup):
                    for n, t in params.items()}
     params.zero_grad()
     sel_only, _, _ = T._batch_losses(prepared[:4], params, cfg,
-                                     "two_step_stage1", lam, None)
+                                     "two_step_stage1", lam)
     ad.backward(sel_only)
     sel_grads = {n: t.grad for n, t in params.items()}
     params.zero_grad()
     gen_only, _, _ = T._batch_losses(prepared[:4], params, cfg,
-                                     "generation_only", lam, None)
+                                     "generation_only", lam)
     ad.backward(gen_only)
     gen_grads = {n: t.grad for n, t in params.items()}
 
@@ -577,7 +577,7 @@ def test_aux_qtype_mode_trains(stall_setup):
 
 
 def test_nan_loss_aborts_with_step(stall_setup, monkeypatch):
-    def poisoned(batch, params, model_cfg, mode, lam, rng):
+    def poisoned(batch, params, model_cfg, mode, lam):
         return Tensor(np.nan, requires_grad=True), None, None
     monkeypatch.setattr(T, "_batch_losses", poisoned)
     with pytest.raises(NumericError, match="step 1"):
@@ -673,59 +673,6 @@ def test_stage1_loss_actually_falls(selector_run):
     epochs = selector_run["train_cfg"].epochs
     sel = [r["loss_sel"] for r in selector_run["result"].history[:epochs]]
     assert sel[-1] < sel[0]
-
-
-# -------------------------------------------------------- label refresh
-
-def test_refresh_hook_called_once_per_epoch(stall_setup, monkeypatch):
-    examples, labels, qtypes, vocab, cfg = stall_setup
-    own = {ex.document.id: lab for ex, lab in zip(examples, labels)}
-    calls = []
-
-    def relabel(exs, backend, k):
-        assert isinstance(backend, ModelEncoderBackend) and k == 1
-        calls.append(len(exs))
-        return [own[ex.document.id] for ex in exs]
-
-    monkeypatch.setattr(T, "label_examples", relabel)
-
-    def run(mode, **kw):
-        calls.clear()
-        T.train(examples[:6], labels[:6], qtypes[:6], vocab, cfg,
-                T.TrainConfig(mode=mode, epochs=3, batch_size=4, seed=0, k=1, **kw))
-        return calls
-
-    assert run("joint", refresh_labels_each_epoch=True) == [6, 6, 6]
-    assert run("joint") == []
-    # stages whose loss never reads relevance do not relabel; two_step
-    # relabels in stage 1 only
-    assert run("generation_only", refresh_labels_each_epoch=True) == []
-    assert run("aux_qtc", refresh_labels_each_epoch=True) == []
-    assert run("two_step", refresh_labels_each_epoch=True) == [6, 6, 6]
-
-
-def test_refresh_relabels_each_prepared_example_with_its_own_labels(monkeypatch):
-    # drop-1's 6-token answer cannot fit max_len=8, so only keep-3 is
-    # prepared; its refreshed labels must be its own, not drop-1's
-    long_ans = "very long mineral vein sample rows"
-    a = synth.make_example("drop-1", f"Teams measured {long_ans}. Values ran high.",
-                           "What did teams measure?", long_ans)
-    b = synth.make_example("keep-3", "Boxes filled fast. Crews kept rocks.",
-                           "What was kept?", "rocks")
-    vocab = Vocabulary.build([a, b])
-    cfg = small_model_cfg(len(vocab), max_len=8)
-    first = RelevanceLabels((1, 0), (0.9, 0.1), 1)
-    own = {"drop-1": first, "keep-3": RelevanceLabels((0, 1), (0.1, 0.9), 1)}
-    monkeypatch.setattr(T, "label_examples",
-                        lambda exs, backend, k: [own[ex.document.id] for ex in exs])
-    seen = _record_batches(monkeypatch, "joint")
-    res = T.train([a, b], [first, first], ["what", "what"], vocab, cfg,
-                  T.TrainConfig(mode="joint", epochs=1, k=1,
-                                refresh_labels_each_epoch=True))
-    assert res.dropped == 1 and sorted(seen) == [1]
-    assert seen[1].example.document.id == "keep-3"
-    assert seen[1].model_input.kept_sentences == [1]
-    assert seen[1].relevance.tolist() == [1]
 
 
 def test_stage2_trains_on_the_inputs_generate_serves(monkeypatch):
