@@ -14,7 +14,9 @@ results once they are accumulated. A VJP returns None for an operand
 that needs no gradient (a constant such as a mask or a scale), so no
 arithmetic is spent on it. Under no_grad, or with only constant operands,
 an op records nothing. All computation runs in float64. The op set is
-exactly what the encoder, decoder, heads and losses in this package need.
+what the encoder, decoder, heads and losses in this package need, plus
+``div``: nothing here divides by a Tensor, but ``perfbench/spans.py``
+binds every op by name, so deleting ``div`` is a change to the benchmark.
 """
 from __future__ import annotations
 

@@ -54,9 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="write weak relevance labels for a corpus")
     p.add_argument("corpus", help="corpus JSONL from prepare")
     p.add_argument("--out", required=True, help="labels JSONL to write")
-    p.add_argument("--backend", default="bag_mean",
-                   choices=[k for k in BACKEND_KINDS if k != "model_encoder"],
-                   help="embedding backend (model_encoder needs a full run)")
+    p.add_argument("--backend", default="bag_mean", choices=BACKEND_KINDS,
+                   help="embedding backend")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=256)

@@ -1,16 +1,15 @@
 """Sentence/answer embedding backends used for weak relevance supervision.
 
-Three interchangeable backends produce a fixed-size vector for a token
+Two interchangeable backends produce a fixed-size vector for a token
 list:
 
 * ``bag_mean``          hash-seeded Gaussian token vectors, mean pooled; a
                         dependency-free lexical-overlap proxy.
 * ``precomputed_file``  token vectors loaded from a TSV dump, mean pooled;
                         the drop-in point for real embedding-model output.
-* ``model_encoder``     mean of the token states of a model's encoder; the
-                        label stage gives it a freshly initialised one.
 
-All backends are read-only after construction apart from internal caching.
+Neither reads model parameters, so the label stage draws none. Both are
+read-only after construction apart from internal caching.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import SchemaError
 
-BACKEND_KINDS = ("bag_mean", "precomputed_file", "model_encoder")
+BACKEND_KINDS = ("bag_mean", "precomputed_file")
 
 
 @dataclass(frozen=True)
@@ -128,45 +127,12 @@ class PrecomputedBackend(_MeanPooled):
         return self._table.get(token, self._unk)
 
 
-class ModelEncoderBackend:
-    """Mean of encoder token states for the given token list.
-
-    Tokens are encoded with the model vocabulary and wrapped as
-    [CLS] tokens [SEP]; the mean excludes those wrapper positions. The
-    encoder is whatever `params` hold; the label stage passes a fresh
-    initialisation of a selector's tensors, so labels never depend on
-    training.
-    """
-
-    def __init__(self, params, config, vocab):
-        self.params = params
-        self.config = config
-        self.vocab = vocab
-        self.dim = config.d_model
-
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        from . import model  # local import keeps light backends import-free
-        from .tokenizer import CLS_ID, SEP_ID
-
-        if not tokens:
-            raise ValueError("cannot embed an empty token list")
-        ids = self.vocab.encode_tokens(tokens)
-        wrapped = np.asarray([CLS_ID] + ids + [SEP_ID], dtype=np.int64)
-        states = model.encode_token_ids(wrapped, self.params, self.config)
-        return states[1:-1].mean(axis=0)
-
-
-def create_backend(spec: BackendSpec, *, params=None, config=None, vocab=None):
-    """Instantiate the backend named by spec; model pieces are only needed
-    for kind model_encoder."""
+def create_backend(spec: BackendSpec):
+    """Instantiate the backend named by spec."""
     spec.validate()
     if spec.kind == "bag_mean":
         return BagMeanBackend(spec.dim, spec.seed)
-    if spec.kind == "precomputed_file":
-        return PrecomputedBackend(spec.source)
-    if params is None or config is None or vocab is None:
-        raise ValueError("model_encoder backend needs params, config and vocab")
-    return ModelEncoderBackend(params, config, vocab)
+    return PrecomputedBackend(spec.source)
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray,

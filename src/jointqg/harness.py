@@ -186,16 +186,6 @@ def _make_run_dir(out_dir: str, config_hash: str) -> str:
             run_dir = f"{base}-{n}"
 
 
-def _label_backend(cfg: ExperimentConfig, model_cfg: M.ModelConfig, vocab: Vocabulary):
-    """The label stage's backend. Only model_encoder reads model parameters,
-    so only it gets a fresh initialisation, of the selector's tensors (the
-    encoder it reads and the small selector head); the caller drops the
-    backend after labelling, so they do not stay alive through training."""
-    params = (M.Parameters.init(model_cfg, seed=cfg.seed, shapes=M.selector_shapes(model_cfg))
-              if cfg.backend.kind == "model_encoder" else None)
-    return create_backend(cfg.backend, params=params, config=model_cfg, vocab=vocab)
-
-
 def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
     """Execute every stage; returns the evaluation report and run dir."""
     # resolving checks the config, so a bad one creates no directory; the
@@ -221,8 +211,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
         train_cfg = cfg.train_config()
 
     with _stage("label"):
-        labels = label_examples(train_examples,
-                                _label_backend(cfg, model_cfg, vocab), cfg.k)
+        labels = label_examples(train_examples, create_backend(cfg.backend), cfg.k)
         qtypes = [question_type_of(ex.document.question) for ex in train_examples]
         write_labels_jsonl(train_examples, labels,
                            os.path.join(run_dir, "labels.jsonl"))

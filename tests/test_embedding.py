@@ -5,11 +5,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jointqg.embedding import (
-    BackendSpec, BagMeanBackend, ModelEncoderBackend, PrecomputedBackend,
+    BackendSpec, BagMeanBackend, PrecomputedBackend,
     cosine_similarity, create_backend, embed_tokens,
 )
 from jointqg.errors import SchemaError
-from jointqg.model import encode_token_ids
 
 finite_vec = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -122,17 +121,6 @@ def test_precomputed_skips_blank_lines(tmp_path):
 def test_precomputed_missing_file_is_io_error(tmp_path):
     with pytest.raises(OSError):
         PrecomputedBackend(str(tmp_path / "absent.tsv"))
-
-
-def test_model_encoder_backend_pools_token_states(tiny_vocab, tiny_model_cfg, tiny_params):
-    be = ModelEncoderBackend(tiny_params, tiny_model_cfg, tiny_vocab)
-    vec = be.embed_tokens(["what", "is"])
-    assert vec.shape == (tiny_model_cfg.d_model,)
-    assert np.isfinite(vec).all()
-    from jointqg.tokenizer import CLS_ID, SEP_ID
-    ids = np.asarray([CLS_ID] + tiny_vocab.encode("what is") + [SEP_ID])
-    states = encode_token_ids(ids, tiny_params, tiny_model_cfg)
-    assert np.allclose(vec, states[1:-1].mean(axis=0))
 
 
 def test_create_backend_dispatch(tmp_path):

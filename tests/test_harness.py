@@ -65,14 +65,16 @@ def test_pipeline_writes_every_artifact(pipeline_run):
     assert not (run_dir / "selector.ckpt").exists()
 
 
-@pytest.mark.parametrize("kind,inits", [("bag_mean", 2), ("model_encoder", 3)])
-def test_label_stage_initialises_parameters_only_for_model_encoder(
-        tmp_path, monkeypatch, kind, inits):
-    # two_step trains two parameter sets; only a model_encoder backend
-    # needs a third, for labelling
+@pytest.mark.parametrize("backend", [
+    {"kind": "bag_mean", "dim": 16, "seed": 0},
+    {"kind": "precomputed_file",
+     "source": str(pathlib.Path(__file__).parent / "data" / "vectors_ibm.tsv")},
+], ids=["bag_mean", "precomputed_file"])
+def test_label_stage_draws_no_model_parameters(tmp_path, monkeypatch, backend):
+    # two_step draws its two trained parameter sets and nothing for labelling
     data = pathlib.Path(__file__).parent / "data" / "squad_tiny.json"
     cfg = make_cfg(tmp_path / "runs", data, mode="two_step")
-    cfg.backend = BackendSpec(kind=kind, dim=16, seed=0)
+    cfg.backend = BackendSpec(**backend)
     real_init = M.Parameters.init.__func__
     calls = []
 
@@ -83,27 +85,14 @@ def test_label_stage_initialises_parameters_only_for_model_encoder(
     monkeypatch.setattr(M.Parameters, "init", classmethod(counting_init))
     _, run_dir = H.run_pipeline(cfg)
     monkeypatch.undo()
-    assert len(calls) == inits
+    assert len(calls) == 2
 
     # the labels are those of the same backend built by hand
     examples = load_squad_json(str(data))
-    vocab = Vocabulary.load(str(pathlib.Path(run_dir) / "vocab.txt"))
-    model_cfg = cfg.model_config(len(vocab))
-    backend = create_backend(cfg.backend,
-                             params=M.Parameters.init(model_cfg, seed=cfg.seed),
-                             config=model_cfg, vocab=vocab)
     want = tmp_path / "labels.jsonl"
-    write_labels_jsonl(examples, label_examples(examples, backend, cfg.k), str(want))
+    write_labels_jsonl(examples, label_examples(examples, create_backend(cfg.backend), cfg.k),
+                       str(want))
     assert (pathlib.Path(run_dir) / "labels.jsonl").read_bytes() == want.read_bytes()
-
-
-def test_label_backend_draws_only_the_selector_tensors(tmp_path, pipeline_run):
-    cfg = make_cfg(tmp_path, pipeline_run["data"])
-    cfg.backend = BackendSpec(kind="model_encoder")
-    vocab = Vocabulary.load(str(pipeline_run["run_dir"] / "vocab.txt"))
-    model_cfg = cfg.model_config(len(vocab))
-    params = H._label_backend(cfg, model_cfg, vocab).params
-    assert params.names() == sorted(M.selector_shapes(model_cfg))
 
 
 def test_run_dir_name_carries_config_hash(pipeline_run):
@@ -518,10 +507,10 @@ def test_with_overrides_routes_training_knobs():
     cfg = H.ExperimentConfig(train_data="a", out_dir="b",
                              backend={"kind": "bag_mean", "dim": 8, "seed": 5})
     out = cfg.with_overrides(mode="two_step", lambda_weight=0.25, k=3,
-                             backend="model_encoder", seed=None)
+                             backend="precomputed_file", seed=None)
     assert out.train == {"mode": "two_step", "lambda_weight": 0.25}
     assert out.k == 3
-    assert out.backend.kind == "model_encoder"
+    assert out.backend.kind == "precomputed_file"
     assert out.backend.dim == 8 and out.backend.seed == 5
     assert out.seed == cfg.seed  # None means keep
     # the source config is untouched
@@ -595,9 +584,7 @@ def test_cli_choices_follow_the_mode_and_backend_constants():
 
     assert choices("train", "mode") == TRAIN_MODES
     assert choices("train", "backend") == BACKEND_KINDS
-    # labelling from the command line has no model to encode with
-    assert choices("label", "backend") == tuple(k for k in BACKEND_KINDS
-                                                if k != "model_encoder")
+    assert choices("label", "backend") == BACKEND_KINDS
 
 
 def write_exp_config(tmp_path, data, **kw):
@@ -725,10 +712,11 @@ def _bad_config(tmp_path, data, case):
 _BAD_VALUES = {"zero-beam": {"beam_size": 0}, "str-k": {"k": "2"},
                "str-beam": {"beam_size": "1"}, "str-d-model": {"model": {"d_model": "16"}},
                "str-backend": {"backend": "bag_mean"}, "bogus-backend": {"backend": {"kind": "bogus"}},
-               # switches that no longer exist
+               # switches and backends that no longer exist
                "removed-dropout": {"model": {"dropout": 0.1}},
                "removed-conditioning-mode": {"model": {"conditioning_mode": "pooled"}},
-               "removed-refresh": {"train": {"refresh_labels_each_epoch": True}}}
+               "removed-refresh": {"train": {"refresh_labels_each_epoch": True}},
+               "removed-model-encoder": {"backend": {"kind": "model_encoder"}}}
 _WRONG_TYPE = r"--config: .*exp\.json: a setting has the wrong type \(.*\)"
 _NOT_A_FILE = r"--config: .*exp\.json: {} '.*absent\.json' is not a file"
 _UNKNOWN = r"--config: .*exp\.json: unknown {} fields: \['{}'\]"
@@ -749,9 +737,11 @@ _UNKNOWN = r"--config: .*exp\.json: unknown {} fields: \['{}'\]"
     ("removed-dropout", _UNKNOWN.format("model", "dropout")),
     ("removed-conditioning-mode", _UNKNOWN.format("model", "conditioning_mode")),
     ("removed-refresh", _UNKNOWN.format("train", "refresh_labels_each_epoch")),
+    ("removed-model-encoder", r"--config: unknown embedding backend 'model_encoder'"),
 ], ids=["missing-file", "no-out-dir", "zero-beam", "str-k", "str-beam", "str-d-model",
         "str-backend", "bogus-backend", "missing-train-data", "missing-eval-data",
-        "missing-source", "removed-dropout", "removed-conditioning-mode", "removed-refresh"])
+        "missing-source", "removed-dropout", "removed-conditioning-mode", "removed-refresh",
+        "removed-model-encoder"])
 @pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k-list", "1,2"], ["compare-modes"]],
                          ids=["train", "sweep-k", "compare-modes"])
 def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys, argv, case,
