@@ -170,8 +170,8 @@ def _run(args, cfg: ExperimentConfig | None) -> int:
             k_list = [int(x) for x in args.k_list.split(",") if x.strip()]
         except ValueError:
             k_list = []
-        if not k_list:
-            print("--k-list must be comma-separated integers", file=sys.stderr)
+        if not k_list or min(k_list) < 1:
+            print("--k-list must be comma-separated integers of at least 1", file=sys.stderr)
             return 2
         rows, errors = sweep_top_k(cfg, k_list)
         for row in rows:

@@ -51,7 +51,6 @@ class ExperimentConfig:
     seed: int = 0
     k: int = 4
     vocab_max_size: int = 30000
-    vocab_min_freq: int = 1
     backend: BackendSpec = field(default_factory=BackendSpec)
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
@@ -108,7 +107,7 @@ class ExperimentConfig:
         length past the model's max_len, raises ValueError here, so a run
         refuses it before its run directory exists."""
         self.backend.validate()
-        check_vocab_settings(self.vocab_max_size, self.vocab_min_freq)
+        check_vocab_settings(self.vocab_max_size)
         D.check_decode_settings(self.beam_size, self.max_decode_len, self.length_alpha)
         model_cfg = self.model_config(N_SPECIALS + 1)  # the smallest real vocabulary
         train_cfg = self.train_config()
@@ -204,8 +203,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[MX.MetricReport, str]:
             eval_examples = train_examples
 
     with _stage("vocab"):
-        vocab = Vocabulary.build(train_examples, cfg.vocab_max_size,
-                                 cfg.vocab_min_freq)
+        vocab = Vocabulary.build(train_examples, cfg.vocab_max_size)
         vocab.save(os.path.join(run_dir, "vocab.txt"))
         model_cfg = cfg.model_config(len(vocab))
         train_cfg = cfg.train_config()
@@ -261,9 +259,11 @@ def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
 def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], list[dict]]:
     """Run the pipeline once per k; failed runs land in an error sidecar
     and do not stop the sweep. Writes sweep_k.csv (and sweep_k_errors.csv
-    when needed) under out_dir."""
+    when needed) under out_dir. An empty or repeating k_list raises first."""
     if not k_list:
         raise ValueError("k_list must not be empty")
+    if len(set(k_list)) < len(k_list):
+        raise ValueError(f"k_list repeats a k: {list(k_list)}")
     rows: list[dict] = []
     errors: list[dict] = []
     for k in k_list:
@@ -285,9 +285,11 @@ def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], l
 
 
 def check_modes(modes: tuple[str, ...]) -> None:
-    """Refuse fewer than two modes, or a mode that is not a training mode."""
+    """Refuse fewer than two modes, a repeat, or one that is not a training mode."""
     if len(modes) < 2:
         raise ValueError("compare_modes needs at least two modes")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"modes repeat a mode: {list(modes)}")
     unknown = [m for m in modes if m not in T.TRAIN_MODES]
     if unknown:
         raise ValueError(f"unknown training modes {unknown}; "

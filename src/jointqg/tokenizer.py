@@ -35,7 +35,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(normalize_text(text).lower())
 
 
-def check_vocab_settings(max_size: int, min_freq: int) -> None:
+def check_vocab_settings(max_size: int, min_freq: int = 1) -> None:
     """Refuse a vocabulary size or minimum frequency below 1."""
     if max_size < 1:
         raise ValueError("max_size must be positive")

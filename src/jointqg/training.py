@@ -40,12 +40,11 @@ _RELEVANCE_MODES = ("joint", "two_step_stage1")
 
 @dataclass
 class TrainConfig:
+    """One training job; Adam runs at its fixed beta1, beta2 and eps."""
+
     mode: str = "joint"
     lambda_weight: float = 0.5
     learning_rate: float = 2e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.01
     epochs: int = 10
     batch_size: int = 16
@@ -58,15 +57,11 @@ class TrainConfig:
             raise ValueError(f"unknown training mode '{self.mode}'")
         if not 0.0 <= self.lambda_weight <= 1.0:
             raise ValueError("lambda_weight must be in [0, 1]")
-        for name in ("learning_rate", "weight_decay", "adam_eps"):
+        for name in ("learning_rate", "weight_decay"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise ValueError("learning_rate and weight_decay must be non-negative")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("Adam betas must be in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
@@ -142,6 +137,8 @@ class Adam:
     """Adam with decoupled, lr-independent weight decay.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - wd * theta
+    Training uses the published beta1, beta2 and eps (Kingma & Ba, arXiv
+    1412.6980) below; only a test passes others.
     A parameter's moments are created at its first gradient. Until then
     they would be exact zeros, whose update is exactly 0.0, so the step
     applies only the decay. From then on a missing gradient counts as zero,
@@ -180,7 +177,6 @@ class Adam:
 
 @dataclass
 class PreparedExample:
-    example: QAExample
     model_input: ModelInput
     gold_ids: np.ndarray       # question ids ending in EOS
     relevance: np.ndarray      # labels re-based to kept sentences
@@ -211,7 +207,6 @@ def prepare_examples(examples: list[QAExample], labels: list[RelevanceLabels],
             dropped += 1
             continue
         prepared.append(PreparedExample(
-            example=ex,
             model_input=mi,
             gold_ids=np.asarray(gold + [EOS_ID], dtype=np.int64),
             relevance=_relevance(lab, mi),
@@ -287,8 +282,7 @@ def _backward_step(batch, params, model_cfg, mode, lam,
 
 def _run_stage(prepared, params, model_cfg, train_cfg, mode, history,
                log_fh, order_rng, record_mode=None, step_offset=0) -> int:
-    adam = Adam(params, train_cfg.learning_rate, train_cfg.adam_beta1,
-                train_cfg.adam_beta2, train_cfg.adam_eps, train_cfg.weight_decay)
+    adam = Adam(params, train_cfg.learning_rate, weight_decay=train_cfg.weight_decay)
     step = step_offset
     n = len(prepared)
     for epoch in range(train_cfg.epochs):

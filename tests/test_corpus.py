@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from jointqg.corpus import (
     _ABBREVIATIONS, _QUOTES, _TERMINATORS,
     AlignmentError, EmptyDatasetError, QAExample, RawDocument, SchemaError,
-    align_answer, build_example, load_squad_json, read_corpus_jsonl,
+    SentenceSpan, align_answer, build_example, load_squad_json, read_corpus_jsonl,
     split_sentences, write_corpus_jsonl,
 )
 
@@ -300,6 +300,37 @@ def test_raw_document_invariants_enforced():
         RawDocument("b", "short", "q?", "missing", 0)
     with pytest.raises(ValueError):
         RawDocument("b", "short", "q?", "short", -1)
+
+
+_DOC = RawDocument("d", "One. Two.", "Which?", "Two", 5)
+
+
+def _blank_lines_only(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n  \n\t\n")
+    return read_corpus_jsonl(str(path))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda tmp_path: SentenceSpan(3, 3), ValueError, r"bad span \[3, 3\)"),
+    (lambda tmp_path: RawDocument("d", "", "q?", "a", 0), ValueError, "d: empty context"),
+    (lambda tmp_path: RawDocument("d", "abc", "q?", "", 0), ValueError, "d: empty answer"),
+    (lambda tmp_path: RawDocument("d", "abc", "q?", "bc", 0), ValueError,
+     "d: answer text does not match context slice"),
+    (lambda tmp_path: QAExample(_DOC, (), 0), ValueError, "d: no sentences"),
+    (lambda tmp_path: QAExample(_DOC, (SentenceSpan(0, 4), SentenceSpan(5, 9)), 2),
+     ValueError, "d: answer sentence index out of range"),
+    (lambda tmp_path: align_answer(split_sentences("One. Two."), 5, 5), ValueError,
+     "empty answer span"),
+    (lambda tmp_path: build_example(RawDocument("w", " \t ", "q?", " ", 0)), AlignmentError,
+     "w: context has no sentences"),
+    (_blank_lines_only, EmptyDatasetError, r"blank\.jsonl: no records"),
+], ids=["empty-span", "empty-context", "empty-answer", "slice-mismatch",
+        "no-sentences", "answer-sentence-out-of-range", "empty-answer-span",
+        "whitespace-context", "blank-lines-only"])
+def test_corpus_refusals_name_the_problem(tmp_path, build, error, message):
+    with pytest.raises(error, match=message):
+        build(tmp_path)
 
 
 # ----------------------------------------------------------- round trip

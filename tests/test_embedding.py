@@ -132,6 +132,16 @@ def test_create_backend_dispatch(tmp_path):
         create_backend(BackendSpec("nonsense"))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: BackendSpec("precomputed_file").validate(),
+     "precomputed_file backend needs a source path"),
+    (lambda: BagMeanBackend(dim=0), "dim must be positive"),
+], ids=["precomputed-without-source", "bag-mean-dim-0"])
+def test_backend_settings_refused_with_a_message(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_embed_tokens_function_dispatches():
     be = BagMeanBackend(dim=8, seed=0)
     assert np.array_equal(embed_tokens(["tok"], be), be.embed_tokens(["tok"]))

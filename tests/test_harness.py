@@ -355,7 +355,7 @@ def test_bogus_backend_refused_before_any_run_dir(tmp_path, pipeline_run):
 @pytest.mark.parametrize("name,value", [
     ("beam_size", 0), ("max_decode_len", 0), ("length_alpha", float("nan")),
     ("length_alpha", float("inf")), ("length_alpha", -0.5),
-    ("vocab_max_size", 0), ("vocab_min_freq", 0)])
+    ("vocab_max_size", 0)])
 def test_bad_decode_and_vocab_settings_refused_before_any_stage(tmp_path, pipeline_run,
                                                                 name, value):
     cfg = make_cfg(tmp_path / "out", pipeline_run["data"])
@@ -679,9 +679,12 @@ def test_cli_sweep_k_rejects_garbage_list(tmp_path, pipeline_run, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["sweep-k", "--k-list", ","], "--k-list must be comma-separated integers"),
+    (["sweep-k", "--k-list", "0,-1"], "--k-list must be comma-separated integers of at least 1"),
+    (["sweep-k", "--k-list", "2,1,2"], "sweep-k: k_list repeats a k: [2, 1, 2]"),
     (["compare-modes", "--modes", "joint"], "--modes: compare_modes needs at least two modes"),
     (["compare-modes", "--modes", "joint,bogus"], "--modes: unknown training modes ['bogus']"),
-], ids=["empty-k-list", "one-mode", "unknown-mode"])
+    (["compare-modes", "--modes", "joint,joint"], "--modes: modes repeat a mode: ['joint', 'joint']"),
+], ids=["empty-k-list", "k-below-1", "repeated-k", "one-mode", "unknown-mode", "repeated-mode"])
 def test_cli_refuses_a_bad_list_before_any_run(tmp_path, pipeline_run, capsys, argv,
                                                message):
     cfg_path = write_exp_config(tmp_path, pipeline_run["data"], epochs=0)
@@ -716,7 +719,9 @@ _BAD_VALUES = {"zero-beam": {"beam_size": 0}, "str-k": {"k": "2"},
                "removed-dropout": {"model": {"dropout": 0.1}},
                "removed-conditioning-mode": {"model": {"conditioning_mode": "pooled"}},
                "removed-refresh": {"train": {"refresh_labels_each_epoch": True}},
-               "removed-model-encoder": {"backend": {"kind": "model_encoder"}}}
+               "removed-model-encoder": {"backend": {"kind": "model_encoder"}},
+               "removed-adam-beta1": {"train": {"adam_beta1": 0.8}},
+               "removed-vocab-min-freq": {"vocab_min_freq": 2}}
 _WRONG_TYPE = r"--config: .*exp\.json: a setting has the wrong type \(.*\)"
 _NOT_A_FILE = r"--config: .*exp\.json: {} '.*absent\.json' is not a file"
 _UNKNOWN = r"--config: .*exp\.json: unknown {} fields: \['{}'\]"
@@ -738,10 +743,12 @@ _UNKNOWN = r"--config: .*exp\.json: unknown {} fields: \['{}'\]"
     ("removed-conditioning-mode", _UNKNOWN.format("model", "conditioning_mode")),
     ("removed-refresh", _UNKNOWN.format("train", "refresh_labels_each_epoch")),
     ("removed-model-encoder", r"--config: unknown embedding backend 'model_encoder'"),
+    ("removed-adam-beta1", _UNKNOWN.format("train", "adam_beta1")),
+    ("removed-vocab-min-freq", r"--config: .*exp\.json: unknown fields: \['vocab_min_freq'\]"),
 ], ids=["missing-file", "no-out-dir", "zero-beam", "str-k", "str-beam", "str-d-model",
         "str-backend", "bogus-backend", "missing-train-data", "missing-eval-data",
         "missing-source", "removed-dropout", "removed-conditioning-mode", "removed-refresh",
-        "removed-model-encoder"])
+        "removed-model-encoder", "removed-adam-beta1", "removed-vocab-min-freq"])
 @pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k-list", "1,2"], ["compare-modes"]],
                          ids=["train", "sweep-k", "compare-modes"])
 def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys, argv, case,

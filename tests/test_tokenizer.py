@@ -83,6 +83,23 @@ def test_vocab_order_matches_the_tuple_key_sort(contexts, min_freq, max_size):
     assert v.id_to_token[N_SPECIALS:] == vocab_order_tuple_key(counts, min_freq, max_size)
 
 
+_ROCKS = synth.make_example("e", "Crews kept rocks.", "What?", "rocks")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Vocabulary(["a", "b"]), "vocabulary must start with the special tokens"),
+    (lambda: Vocabulary.build([_ROCKS], min_freq=0), "min_freq must be positive"),
+    (lambda: assemble_model_input(_ROCKS, Vocabulary.build([_ROCKS]), max_len=7),
+     "max_len must be at least 8"),
+    (lambda: assemble_model_input(synth.make_example("w", "Crews kept rocks.", "What?", " "),
+                                  Vocabulary.build([_ROCKS])),
+     "w: answer has no tokens"),
+], ids=["no-special-tokens", "min-freq-0", "max-len-7", "whitespace-answer"])
+def test_vocab_and_assembly_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_build_requires_examples():
     with pytest.raises(ValueError):
         Vocabulary.build([])
