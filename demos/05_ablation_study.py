@@ -67,9 +67,12 @@ def main():
 
     cmp_cfg = cfg.with_overrides(out_dir=str(work / "modes"))
     print("\njoint training against the two-step pipeline:")
-    for row in compare_modes(cmp_cfg, modes=("joint", "two_step")):
+    rows, errors = compare_modes(cmp_cfg, modes=("joint", "two_step"))
+    for row in rows:
         print(f"  {row['mode']:<10} bleu4={row['bleu4']:.3f}  "
               f"delta={row['delta_bleu4']:+.3f}")
+    if errors:
+        print(f"  {len(errors)} modes failed, see compare_modes_errors.csv")
 
     run_dir = next((work / "modes" / "mode-two_step").glob("run-*"))
     print(f"\none run directory, fully inspectable: {run_dir.name}")

@@ -12,7 +12,8 @@ Subcommands map onto the library pipeline:
 
 A command exits 0 when done and 2 when it refuses its input (a file it
 cannot read, a bad setting), with one ``<command>: <message>`` line on
-stderr; other failures exit 1.
+stderr. A sweep-k or compare-modes run that failed makes it exit 1 with
+one line naming the errors CSV; other failures exit 1 with a traceback.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="bag_mean", choices=BACKEND_KINDS,
                    help="embedding backend")
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=256)
     p.add_argument("--source", default=None, help="vector table for precomputed_file")
 
@@ -138,9 +138,8 @@ def _run(args, cfg: ExperimentConfig | None) -> int:
 
     if args.command == "label":
         examples = C.read_corpus_jsonl(args.corpus)
-        spec = BackendSpec(kind=args.backend, dim=args.dim, seed=args.seed,
-                           source=args.source)
-        backend = create_backend(spec)
+        backend = create_backend(BackendSpec(kind=args.backend, dim=args.dim,
+                                             source=args.source))
         labels = label_examples(examples, backend, args.k)
         write_labels_jsonl(examples, labels, args.out)
         print(f"wrote labels for {len(examples)} examples to {args.out}")
@@ -174,26 +173,23 @@ def _run(args, cfg: ExperimentConfig | None) -> int:
             print("--k-list must be comma-separated integers of at least 1", file=sys.stderr)
             return 2
         rows, errors = sweep_top_k(cfg, k_list)
-        for row in rows:
-            print(row)
-        if errors:
-            print(f"{len(errors)} k value(s) failed; see sweep_k_errors.csv",
-                  file=sys.stderr)
-        return 0
-
-    if args.command == "compare-modes":
+    elif args.command == "compare-modes":
         modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
         try:
             check_modes(modes)
         except ValueError as e:
             print(f"--modes: {e}", file=sys.stderr)
             return 2
-        rows = compare_modes(cfg, modes)
-        for row in rows:
-            print(row)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+        rows, errors = compare_modes(cfg, modes)
+    else:
+        raise AssertionError(f"unhandled command {args.command}")
+    for row in rows:
+        print(row)
+    if errors:  # sweep-k writes sweep_k_errors.csv, compare-modes compare_modes_errors.csv
+        print(f"{len(errors)} of {len(rows) + len(errors)} runs failed; "
+              f"see {args.command.replace('-', '_')}_errors.csv", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ class BackendSpec:
 
     kind: str = "bag_mean"
     dim: int = 256
-    seed: int = 0
     source: str | None = None  # path for precomputed_file
 
     def validate(self) -> None:
@@ -131,7 +130,7 @@ def create_backend(spec: BackendSpec):
     """Instantiate the backend named by spec."""
     spec.validate()
     if spec.kind == "bag_mean":
-        return BagMeanBackend(spec.dim, spec.seed)
+        return BagMeanBackend(spec.dim)
     return PrecomputedBackend(spec.source)
 
 

@@ -256,32 +256,37 @@ def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     write_atomic(path, buf.getvalue())
 
 
+def _run_study(cfg: ExperimentConfig, name: str, key: str, subdir: str, values,
+               columns) -> tuple[list[dict], list[dict]]:
+    """One run per value of the config key, under out_dir/<subdir><value>; a
+    failed run becomes an error row with its stage, and the study goes on.
+    Writes <name>.csv, headed by columns(rows), which may add columns to the
+    rows, and <name>_errors.csv when a run failed."""
+    rows, errors = [], []
+    for value in values:
+        out_dir = os.path.join(cfg.out_dir, f"{subdir}{value}")
+        try:
+            report, _ = run_pipeline(cfg.with_overrides(**{key: value}, out_dir=out_dir))
+            rows.append({key: value, **_scores(report)})
+        except Exception as e:  # noqa: BLE001 - one failed run must not stop the study
+            stage = e.stage if isinstance(e, StageError) else "unknown"
+            errors.append({key: value, "stage": stage, "error": str(e)})
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_csv(os.path.join(cfg.out_dir, f"{name}.csv"), columns(rows), rows)
+    if errors:
+        _write_csv(os.path.join(cfg.out_dir, f"{name}_errors.csv"), [key, "stage", "error"], errors)
+    return rows, errors
+
+
 def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], list[dict]]:
-    """Run the pipeline once per k; failed runs land in an error sidecar
-    and do not stop the sweep. Writes sweep_k.csv (and sweep_k_errors.csv
-    when needed) under out_dir. An empty or repeating k_list raises first."""
+    """Run the pipeline once per k into sweep_k.csv under out_dir, a failed k
+    into sweep_k_errors.csv. An empty or repeating k_list raises first."""
     if not k_list:
         raise ValueError("k_list must not be empty")
     if len(set(k_list)) < len(k_list):
         raise ValueError(f"k_list repeats a k: {list(k_list)}")
-    rows: list[dict] = []
-    errors: list[dict] = []
-    for k in k_list:
-        sub = cfg.with_overrides(k=int(k),
-                                 out_dir=os.path.join(cfg.out_dir, f"k{k}"))
-        try:
-            report, _ = run_pipeline(sub)
-            rows.append({"k": int(k), **_scores(report)})
-        except Exception as e:  # noqa: BLE001 - sweep must survive bad cells
-            stage = e.stage if isinstance(e, StageError) else "unknown"
-            errors.append({"k": int(k), "stage": stage, "error": str(e)})
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "sweep_k.csv"),
-               ["k", *_SCORE_COLUMNS], rows)
-    if errors:
-        _write_csv(os.path.join(cfg.out_dir, "sweep_k_errors.csv"),
-                   ["k", "stage", "error"], errors)
-    return rows, errors
+    return _run_study(cfg, "sweep_k", "k", "k", [int(k) for k in k_list],
+                      lambda rows: ["k", *_SCORE_COLUMNS])
 
 
 def check_modes(modes: tuple[str, ...]) -> None:
@@ -296,22 +301,17 @@ def check_modes(modes: tuple[str, ...]) -> None:
                          f"choose from {list(T.TRAIN_MODES)}")
 
 
-def compare_modes(cfg: ExperimentConfig,
-                  modes: tuple[str, ...] = ("joint", "two_step")) -> list[dict]:
-    """Run each training mode on the same data; rows carry metric deltas
-    against the first mode. Writes compare_modes.csv under out_dir."""
+def compare_modes(cfg: ExperimentConfig, modes: tuple[str, ...] = ("joint", "two_step")
+                  ) -> tuple[list[dict], list[dict]]:
+    """Run each training mode into compare_modes.csv under out_dir, a failed
+    mode into compare_modes_errors.csv; rows carry metric deltas against
+    the first mode that finished."""
     check_modes(modes)
-    rows: list[dict] = []
-    for mode in modes:
-        sub = cfg.with_overrides(mode=mode,
-                                 out_dir=os.path.join(cfg.out_dir, f"mode-{mode}"))
-        report, _ = run_pipeline(sub)
-        rows.append({"mode": mode, **_scores(report)})
-    base = rows[0]
+    return _run_study(cfg, "compare_modes", "mode", "mode-", modes, _add_deltas)
+
+
+def _add_deltas(rows: list[dict]) -> list[str]:
     for row in rows:
         for metric in _SCORE_COLUMNS:
-            row[f"delta_{metric}"] = row[metric] - base[metric]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "compare_modes.csv"),
-               ["mode", *_SCORE_COLUMNS, *(f"delta_{m}" for m in _SCORE_COLUMNS)], rows)
-    return rows
+            row[f"delta_{metric}"] = row[metric] - rows[0][metric]
+    return ["mode", *_SCORE_COLUMNS, *(f"delta_{m}" for m in _SCORE_COLUMNS)]

@@ -38,6 +38,8 @@ class RelevanceLabels:
     def __post_init__(self):
         if len(self.labels) != len(self.scores):
             raise ValueError("labels and scores must align")
+        if not set(self.labels) <= {0, 1}:
+            raise ValueError("labels must be 0 or 1")
         if sum(self.labels) != min(self.k, len(self.labels)):
             raise ValueError("label count must equal min(k, n_sentences)")
 

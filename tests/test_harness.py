@@ -40,7 +40,7 @@ def make_cfg(out_dir, data_path, epochs=1, **train_kw):
     train.update(train_kw)
     return H.ExperimentConfig(
         train_data=str(data_path), out_dir=str(out_dir), seed=0, k=2,
-        backend={"kind": "bag_mean", "dim": 16, "seed": 0},
+        backend={"kind": "bag_mean", "dim": 16},
         model=dict(SMALL_MODEL), train=train,
         beam_size=1, max_decode_len=8, length_alpha=0.7)
 
@@ -66,7 +66,7 @@ def test_pipeline_writes_every_artifact(pipeline_run):
 
 
 @pytest.mark.parametrize("backend", [
-    {"kind": "bag_mean", "dim": 16, "seed": 0},
+    {"kind": "bag_mean", "dim": 16},
     {"kind": "precomputed_file",
      "source": str(pathlib.Path(__file__).parent / "data" / "vectors_ibm.tsv")},
 ], ids=["bag_mean", "precomputed_file"])
@@ -454,7 +454,9 @@ def test_sweep_rejects_empty_k_list(tmp_path, pipeline_run):
 
 def test_compare_modes_zero_lambda_ties_generation_only(tmp_path, pipeline_run):
     cfg = make_cfg(tmp_path, pipeline_run["data"], lambda_weight=0.0)
-    rows = H.compare_modes(cfg, modes=("joint", "generation_only"))
+    rows, errors = H.compare_modes(cfg, modes=("joint", "generation_only"))
+    assert errors == []
+    assert not (tmp_path / "compare_modes_errors.csv").exists()
     assert [r["mode"] for r in rows] == ["joint", "generation_only"]
     # lambda 0 removes the selection term, so both runs take the same steps
     for metric in ("bleu4", "meteor_lite", "rouge_l"):
@@ -466,6 +468,36 @@ def test_compare_modes_zero_lambda_ties_generation_only(tmp_path, pipeline_run):
     assert [r["mode"] for r in parsed] == ["joint", "generation_only"]
     assert (tmp_path / "mode-joint").is_dir()
     assert (tmp_path / "mode-generation_only").is_dir()
+
+
+def _fail_run_in(monkeypatch, subdir):
+    """Make the study run under out_dir/<subdir> fail in its train stage."""
+    real = H.run_pipeline
+
+    def run_pipeline(cfg):
+        if pathlib.Path(cfg.out_dir).name == subdir:
+            raise StageError("train", RuntimeError("injected failure"))
+        return real(cfg)
+
+    monkeypatch.setattr(H, "run_pipeline", run_pipeline)
+
+
+def test_compare_modes_keeps_the_modes_that_finished(tmp_path, pipeline_run, monkeypatch):
+    cfg = make_cfg(tmp_path, pipeline_run["data"], epochs=0)
+    _fail_run_in(monkeypatch, "mode-joint")
+    rows, errors = H.compare_modes(cfg, modes=("joint", "generation_only"))
+    # the deltas are against the first mode that finished
+    assert [r["mode"] for r in rows] == ["generation_only"]
+    assert rows[0]["delta_bleu4"] == 0.0
+    assert errors == [{"mode": "joint", "stage": "train",
+                       "error": "pipeline stage 'train' failed: injected failure"}]
+    with open(tmp_path / "compare_modes.csv", newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert [r["mode"] for r in parsed] == ["generation_only"]
+    assert "delta_rouge_l" in parsed[0]
+    with open(tmp_path / "compare_modes_errors.csv", newline="") as fh:
+        assert list(csv.DictReader(fh)) == [
+            {k: str(v) for k, v in errors[0].items()}]
 
 
 def test_compare_modes_needs_two_modes(tmp_path, pipeline_run):
@@ -505,13 +537,13 @@ def test_config_rejects_unknown_fields(field, payload):
 
 def test_with_overrides_routes_training_knobs():
     cfg = H.ExperimentConfig(train_data="a", out_dir="b",
-                             backend={"kind": "bag_mean", "dim": 8, "seed": 5})
+                             backend={"kind": "bag_mean", "dim": 8})
     out = cfg.with_overrides(mode="two_step", lambda_weight=0.25, k=3,
                              backend="precomputed_file", seed=None)
     assert out.train == {"mode": "two_step", "lambda_weight": 0.25}
     assert out.k == 3
     assert out.backend.kind == "precomputed_file"
-    assert out.backend.dim == 8 and out.backend.seed == 5
+    assert out.backend.dim == 8
     assert out.seed == cfg.seed  # None means keep
     # the source config is untouched
     assert cfg.train == {} and cfg.k == 4 and cfg.backend.kind == "bag_mean"
@@ -539,8 +571,7 @@ def test_resolved_fills_every_default():
     assert full["model"]["d_model"] == 128
     assert full["train"]["learning_rate"] == 2e-4
     assert full["train"]["k"] == 4  # top-level k reaches the train config
-    assert full["backend"] == {"kind": "bag_mean", "dim": 256,
-                               "seed": 0, "source": None}
+    assert full["backend"] == {"kind": "bag_mean", "dim": 256, "source": None}
 
 
 @pytest.mark.parametrize("body,match", [
@@ -565,7 +596,7 @@ def test_config_from_file_round_trip(tmp_path, pipeline_run):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({
         "train_data": cfg.train_data, "out_dir": cfg.out_dir, "seed": 0,
-        "k": 2, "backend": {"kind": "bag_mean", "dim": 16, "seed": 0},
+        "k": 2, "backend": {"kind": "bag_mean", "dim": 16},
         "model": dict(SMALL_MODEL), "train": dict(cfg.train),
         "beam_size": 1, "max_decode_len": 8, "length_alpha": 0.7}))
     loaded = H.ExperimentConfig.from_file(str(path))
@@ -592,7 +623,7 @@ def write_exp_config(tmp_path, data, **kw):
     path = tmp_path / "exp.json"
     body = {"train_data": cfg.train_data, "out_dir": cfg.out_dir,
             "seed": 0, "k": 2,
-            "backend": {"kind": "bag_mean", "dim": 16, "seed": 0},
+            "backend": {"kind": "bag_mean", "dim": 16},
             "model": dict(SMALL_MODEL), "train": dict(cfg.train),
             "beam_size": 1, "max_decode_len": 8, "length_alpha": 0.7}
     path.write_text(json.dumps(body))
@@ -721,6 +752,7 @@ _BAD_VALUES = {"zero-beam": {"beam_size": 0}, "str-k": {"k": "2"},
                "removed-refresh": {"train": {"refresh_labels_each_epoch": True}},
                "removed-model-encoder": {"backend": {"kind": "model_encoder"}},
                "removed-adam-beta1": {"train": {"adam_beta1": 0.8}},
+               "removed-backend-seed": {"backend": {"kind": "bag_mean", "seed": 1}},
                "removed-vocab-min-freq": {"vocab_min_freq": 2}}
 _WRONG_TYPE = r"--config: .*exp\.json: a setting has the wrong type \(.*\)"
 _NOT_A_FILE = r"--config: .*exp\.json: {} '.*absent\.json' is not a file"
@@ -744,11 +776,13 @@ _UNKNOWN = r"--config: .*exp\.json: unknown {} fields: \['{}'\]"
     ("removed-refresh", _UNKNOWN.format("train", "refresh_labels_each_epoch")),
     ("removed-model-encoder", r"--config: unknown embedding backend 'model_encoder'"),
     ("removed-adam-beta1", _UNKNOWN.format("train", "adam_beta1")),
+    ("removed-backend-seed", r"--config: .*exp\.json: .*unexpected keyword argument 'seed'"),
     ("removed-vocab-min-freq", r"--config: .*exp\.json: unknown fields: \['vocab_min_freq'\]"),
 ], ids=["missing-file", "no-out-dir", "zero-beam", "str-k", "str-beam", "str-d-model",
         "str-backend", "bogus-backend", "missing-train-data", "missing-eval-data",
         "missing-source", "removed-dropout", "removed-conditioning-mode", "removed-refresh",
-        "removed-model-encoder", "removed-adam-beta1", "removed-vocab-min-freq"])
+        "removed-model-encoder", "removed-adam-beta1", "removed-backend-seed",
+        "removed-vocab-min-freq"])
 @pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k-list", "1,2"], ["compare-modes"]],
                          ids=["train", "sweep-k", "compare-modes"])
 def test_cli_refuses_a_bad_config_before_any_run(tmp_path, pipeline_run, capsys, argv, case,
@@ -812,3 +846,43 @@ def test_cli_compare_modes(tmp_path, pipeline_run, capsys):
         parsed = list(csv.DictReader(fh))
     assert [r["mode"] for r in parsed] == ["joint", "generation_only"]
     assert "delta_bleu4" in parsed[0]
+
+
+@pytest.mark.parametrize("argv,name,failing,printed", [
+    (["sweep-k", "--k-list", "1,2"], "sweep_k", "k2", "'k': 1"),
+    (["compare-modes", "--modes", "joint,generation_only"], "compare_modes", "mode-joint",
+     "'mode': 'generation_only'"),
+], ids=["sweep-k", "compare-modes"])
+def test_cli_study_with_a_failed_run_exits_1(tmp_path, pipeline_run, capsys, monkeypatch,
+                                             argv, name, failing, printed):
+    cfg_path = write_exp_config(tmp_path, pipeline_run["data"], epochs=0)
+    out = tmp_path / "study"
+    _fail_run_in(monkeypatch, failing)
+    assert cli_main(argv + ["--config", cfg_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert printed in captured.out and len(captured.out.splitlines()) == 1
+    assert captured.err == f"1 of 2 runs failed; see {name}_errors.csv\n"
+    assert (out / f"{name}.csv").is_file() and (out / f"{name}_errors.csv").is_file()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["sweep-k", "--k-list", "1,2"], "sweep_k"),
+    (["compare-modes"], "compare_modes"),
+], ids=["sweep-k", "compare-modes"])
+def test_cli_study_whose_runs_all_fail_exits_1(tmp_path, pipeline_run, capsys, argv, name):
+    # eval_data that is a file but not JSON passes --config and fails each
+    # run in its prepare stage
+    cfg_path = write_exp_config(tmp_path, pipeline_run["data"], epochs=0)
+    bad_eval = tmp_path / "eval.json"
+    bad_eval.write_text("not json")
+    body = json.loads(pathlib.Path(cfg_path).read_text())
+    pathlib.Path(cfg_path).write_text(json.dumps({**body, "eval_data": str(bad_eval)}))
+    out = tmp_path / "study"
+    assert cli_main(argv + ["--config", cfg_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"2 of 2 runs failed; see {name}_errors.csv\n"
+    with open(out / f"{name}_errors.csv", newline="") as fh:
+        assert [r["stage"] for r in csv.DictReader(fh)] == ["prepare", "prepare"]
+    with open(out / f"{name}.csv", newline="") as fh:
+        assert list(csv.DictReader(fh)) == []

@@ -120,6 +120,8 @@ def test_labels_validation():
         RelevanceLabels((1, 0), (0.5, 0.4, 0.3), k=1)  # length mismatch
     with pytest.raises(ValueError):
         RelevanceLabels((1, 1, 0), (0.5, 0.4, 0.3), k=1)  # sum != min(k, n)
+    with pytest.raises(ValueError, match="0 or 1"):
+        RelevanceLabels((2, 0), (0.1, 0.2), k=2)  # sums to min(k, n), but y=2
 
 
 def test_table_lookup_vectors_pick_paraphrase_sentence(ibm_example, data_dir):
@@ -192,6 +194,11 @@ def test_labels_jsonl_bad_record(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"id": "a", "relevance": [1]}) + "\n")
     with pytest.raises(SchemaError, match="bad.jsonl:1"):
+        read_labels_jsonl(str(path))
+    # a label other than 0 or 1, though the labels sum to min(k, n)
+    path.write_text(json.dumps({"id": "a", "relevance": [2, 0], "scores": [0.5, 0.4],
+                                "k": 2, "qtype": "what"}) + "\n")
+    with pytest.raises(SchemaError, match="bad.jsonl:1: .*labels must be 0 or 1"):
         read_labels_jsonl(str(path))
 
 
