@@ -11,7 +11,7 @@ Takes a few seconds on a laptop CPU.
     python3 demos/02_train_to_memorize.py
 """
 from jointqg.corpus import RawDocument, build_example
-from jointqg.decoding import decode_example
+from jointqg.decoding import beam_search_decode, make_scorer
 from jointqg.embedding import BagMeanBackend
 from jointqg.labeler import label_examples, question_type_of
 from jointqg.metrics import score_corpus
@@ -60,7 +60,8 @@ def main():
     cands, refs = [], []
     for ex in examples:
         mi = assemble_model_input(ex, vocab, model_cfg.max_len)
-        ids = decode_example(ckpt, mi, beam_size=1, max_len=16, length_alpha=0.0)
+        ids = beam_search_decode(make_scorer(ckpt, mi), beam_size=1, max_len=16,
+                                 length_alpha=0.0)
         cands.append(tokenize(vocab.decode(ids)))
         refs.append(tokenize(ex.document.question))
 

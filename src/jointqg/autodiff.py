@@ -37,10 +37,6 @@ def no_grad():
         _GRAD_ENABLED.pop()
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED[-1]
-
-
 class _Node:
     """The graph record of one op result: its parents' nodes and its VJP."""
     __slots__ = ("_parents", "_vjp")
@@ -106,9 +102,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(as_tensor(other), -1.0))
 
@@ -122,9 +115,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
 
     def __matmul__(self, other):
         return matmul(self, other)

@@ -173,7 +173,7 @@ def _run(args, cfg: ExperimentConfig | None) -> int:
             print("--k-list must be comma-separated integers of at least 1", file=sys.stderr)
             return 2
         rows, errors = sweep_top_k(cfg, k_list)
-    elif args.command == "compare-modes":
+    else:  # compare-modes: the parser admits no other command
         modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
         try:
             check_modes(modes)
@@ -181,8 +181,6 @@ def _run(args, cfg: ExperimentConfig | None) -> int:
             print(f"--modes: {e}", file=sys.stderr)
             return 2
         rows, errors = compare_modes(cfg, modes)
-    else:
-        raise AssertionError(f"unhandled command {args.command}")
     for row in rows:
         print(row)
     if errors:  # sweep-k writes sweep_k_errors.csv, compare-modes compare_modes_errors.csv

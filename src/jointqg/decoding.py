@@ -134,13 +134,6 @@ def beam_search_nbest(scorer, beam_size: int, max_len: int = 32,
     return finals
 
 
-def decode_example(ckpt: Checkpoint, model_input: ModelInput, beam_size: int = 1,
-                   max_len: int = 32, length_alpha: float = 0.7) -> list[int]:
-    """Encode one input and decode it with beam search."""
-    return beam_search_decode(make_scorer(ckpt, model_input), beam_size, max_len,
-                              length_alpha)
-
-
 def _check_selector_fits(ckpt: Checkpoint, selector: Checkpoint, where: str) -> None:
     """Refuse a selector too short for the inputs the generator is given:
     each is assembled at the generator's max_len."""

@@ -82,14 +82,15 @@ class PrecomputedBackend(_MeanPooled):
     """Token vectors read from a TSV file, mean pooled.
 
     File format: first line ``dim <d>``, then one ``token<TAB>v_1 ... v_d``
-    line per token (values separated by whitespace). A ``<unk>`` row, when
-    present, covers out-of-table tokens; otherwise they contribute zero
-    vectors.
+    line per token (values separated by whitespace); a repeated token is
+    refused. A ``<unk>`` row, when present, covers out-of-table tokens;
+    otherwise they contribute zero vectors.
     """
 
     def __init__(self, path: str):
         self.path = path
         table: dict[str, np.ndarray] = {}
+        first_line: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if len(header) != 2 or header[0] != "dim":
@@ -109,6 +110,10 @@ class PrecomputedBackend(_MeanPooled):
                 if not tab or len(values) != dim:
                     raise SchemaError(
                         f"{path}:{ln}: expected token plus {dim} values, got {len(values)}")
+                if token in first_line:
+                    raise SchemaError(
+                        f"{path}:{ln}: repeats token {token!r} of line {first_line[token]}")
+                first_line[token] = ln
                 try:
                     vec = np.asarray([float(x) for x in values])
                 except ValueError as e:

@@ -1,5 +1,5 @@
 """Whole-or-absent file writes for run artifacts, and the JSONL codec with
-the one reader of the id-keyed corpus, label and prediction files."""
+the one reader of the id-keyed corpus and prediction files."""
 from __future__ import annotations
 
 import json

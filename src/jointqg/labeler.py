@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .corpus import QAExample
 from .embedding import cosine_similarity, embed_tokens
-from .errors import SchemaError
-from .fileio import read_keyed_jsonl, write_jsonl
+from .fileio import write_jsonl
 from .tokenizer import tokenize
 
 QUESTION_TYPES = ("what", "who", "when", "where", "why", "how", "which", "other")
@@ -108,20 +107,3 @@ def write_labels_jsonl(examples: list[QAExample],
                         "qtype": question_type_of(ex.document.question)}
                        for ex, lab in zip(examples, labels)))
 
-
-def _keyed_label_entry(rec) -> tuple[str, dict]:
-    try:
-        return str(rec["id"]), {
-            "labels": RelevanceLabels(tuple(int(x) for x in rec["relevance"]),
-                                      tuple(float(x) for x in rec["scores"]), int(rec["k"])),
-            "qtype": str(rec["qtype"])}
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"bad label record ({e})") from e
-
-
-def read_labels_jsonl(path: str) -> dict[str, dict]:
-    """Map example id to its stored label record; a repeated id is refused."""
-    records = read_keyed_jsonl(path, _keyed_label_entry)
-    if not records:
-        raise SchemaError(f"{path}: no label records")
-    return records

@@ -170,9 +170,6 @@ class Parameters:
         for t in self.tensors.values():
             t.grad = None
 
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
     def copy(self) -> "Parameters":
         return Parameters({k: Tensor(v.data.copy(), requires_grad=True)
                            for k, v in self.tensors.items()})
@@ -470,7 +467,8 @@ def decoder_step(enc: EncoderOutput, prefix_ids, p: Parameters,
     return np.exp(DecoderSession(enc, p, cfg).step_logprobs(prefix_ids))
 
 
-# checkpoint container: zip of meta.json plus one float32 .npy per tensor.
+# checkpoint container: zip of meta.json plus one .npy per tensor, each a
+# version 1.0 header and a C-ordered float32 array; the loader reads no other layout.
 # A checkpoint that records selector_k is a two_step selector and holds only
 # the selector_shapes tensors; any other holds every param_shapes tensor.
 # Entries are stored uncompressed: float32 weights barely deflate (about 8%)
@@ -512,14 +510,14 @@ def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
         info.compress_type = zipfile.ZIP_STORED
         return info
 
-    # streamed into the temp file entry by entry, each as np.save writes it
-    # (a version 1.0 header, then the data in the order it declares) but from
-    # arr's own buffer: the container, or a second copy of an entry, in memory
+    # streamed into the temp file entry by entry, each as np.save writes a
+    # C-ordered array (a version 1.0 header, then the data) but from arr's
+    # own buffer: the container, or a second copy of an entry, in memory
     # would add its size (~31 MB, or ~15 MB for tok_emb at V=30k) to the peak
     with atomic_file(path) as fh, zipfile.ZipFile(fh, "w") as zf:
         zf.writestr(entry("meta.json"), json.dumps(meta, indent=1, sort_keys=True))
         for name, tensor in params.items():
-            arr = tensor.data.astype("<f4")
+            arr = np.ascontiguousarray(tensor.data, dtype="<f4")
             header = io.BytesIO()
             np.lib.format.write_array_header_1_0(
                 header, np.lib.format.header_data_from_array_1_0(arr))
@@ -528,7 +526,7 @@ def save_checkpoint(path: str, params: Parameters, cfg: ModelConfig,
             info.file_size = header.tell() + arr.nbytes
             with zf.open(info, "w") as out:
                 out.write(header.getvalue())
-                out.write(arr.ravel(order="A").data)
+                out.write(arr.data)
 
 
 _READ_CHUNK = 1 << 18  # bytes of a tensor entry read at a time
@@ -542,20 +540,19 @@ def _drain(fh) -> None:
 
 def _read_tensor(fh, shape: tuple, where: str) -> tuple[np.ndarray, bool]:
     """The float64 tensor stored in one ``.npy`` entry stream, and whether
-    all its values are finite. Dtype and shape are checked from the header
-    before any payload is read, but a mismatch is raised only after the
-    stream has been read to its end, so a damaged entry fails its CRC first."""
+    all its values are finite. The entry must have the layout
+    save_checkpoint writes: a version 1.0 header declaring a C-ordered
+    float32 array of the expected shape. The header is checked before any
+    payload is read, but a mismatch is raised only after the stream has
+    been read to its end, so a damaged entry fails its CRC first."""
     version = np.lib.format.read_magic(fh)
-    if version == (1, 0):
-        stored, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    elif version == (2, 0):
-        stored, fortran_order, dtype = np.lib.format.read_array_header_2_0(fh)
-    else:
+    if version != (1, 0):
         raise ValueError(f"unsupported .npy format version {version}")
-    if dtype.hasobject:
-        problem = ValueError("object arrays are not allowed")
-    elif dtype != np.dtype("<f4"):
+    stored, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    if dtype != np.dtype("<f4"):
         problem = SchemaError(f"{where} has dtype {dtype}, expected float32")
+    elif fortran_order:
+        problem = SchemaError(f"{where} is stored in Fortran order, expected C order")
     elif stored != shape:
         problem = SchemaError(f"{where} has shape {stored}, expected {shape}")
     else:
@@ -577,8 +574,6 @@ def _read_tensor(fh, shape: tuple, where: str) -> tuple[np.ndarray, bool]:
         finite = finite and bool(np.isfinite(chunk).all())
         out[start:start + n] = chunk
     _drain(fh)
-    if fortran_order:
-        return out.reshape(shape[::-1]).T, finite
     return out.reshape(shape), finite
 
 

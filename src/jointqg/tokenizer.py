@@ -35,12 +35,10 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(normalize_text(text).lower())
 
 
-def check_vocab_settings(max_size: int, min_freq: int = 1) -> None:
-    """Refuse a vocabulary size or minimum frequency below 1."""
+def check_vocab_settings(max_size: int) -> None:
+    """Refuse a vocabulary size below 1."""
     if max_size < 1:
         raise ValueError("max_size must be positive")
-    if min_freq < 1:
-        raise ValueError("min_freq must be positive")
 
 
 @dataclass
@@ -61,14 +59,12 @@ class Vocabulary:
         return len(self.id_to_token)
 
     @classmethod
-    def build(cls, examples: list[QAExample], max_size: int = 30000,
-              min_freq: int = 1) -> "Vocabulary":
-        """Count tokens over contexts, questions and answers; keep tokens
-        with frequency >= min_freq, most frequent first (ties by token),
-        truncated to max_size non-special entries."""
+    def build(cls, examples: list[QAExample], max_size: int = 30000) -> "Vocabulary":
+        """Count tokens over contexts, questions and answers; keep the
+        max_size most frequent as non-special entries (ties by token)."""
         if not examples:
             raise ValueError("cannot build a vocabulary from zero examples")
-        check_vocab_settings(max_size, min_freq)
+        check_vocab_settings(max_size)
         counts: Counter[str] = Counter()
         for ex in examples:
             counts.update(tokenize(ex.document.context))
@@ -76,8 +72,7 @@ class Vocabulary:
             counts.update(tokenize(ex.document.answer_text))
         # sort by token, then stably by count: ties keep token order, and
         # both sorts compare plain strs and ints, no per-type key tuple
-        kept = sorted(sorted(t for t, c in counts.items() if c >= min_freq),
-                      key=counts.__getitem__, reverse=True)[:max_size]
+        kept = sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:max_size]
         return cls(list(SPECIAL_TOKENS) + kept)
 
     def encode_tokens(self, tokens: list[str]) -> list[int]:
@@ -159,10 +154,6 @@ class ModelInput:
         return ModelInput(self.token_ids[rows], ordinals[rows], kept)
 
 
-def sentence_token_lists(example: QAExample, vocab: Vocabulary) -> list[list[int]]:
-    return [vocab.encode(text) for text in example.sentence_texts()]
-
-
 def assemble_model_input(example: QAExample, vocab: Vocabulary,
                          max_len: int = 256) -> ModelInput:
     """Lay out one example as [CLS] context [SEP] answer [SEP].
@@ -171,7 +162,7 @@ def assemble_model_input(example: QAExample, vocab: Vocabulary,
     """
     if max_len < 8:
         raise ValueError("max_len must be at least 8")
-    sent_ids = sentence_token_lists(example, vocab)
+    sent_ids = [vocab.encode(text) for text in example.sentence_texts()]
     answer_ids = vocab.encode(example.document.answer_text)
     if not answer_ids:
         raise ValueError(f"{example.document.id}: answer has no tokens")

@@ -12,7 +12,7 @@ from hypothesis import settings
 
 import synth
 from jointqg.corpus import load_squad_json
-from jointqg.decoding import decode_example
+from jointqg.decoding import beam_search_decode, make_scorer
 from jointqg.embedding import BagMeanBackend
 from jointqg.labeler import label_examples, question_type_of
 from jointqg.metrics import score_corpus
@@ -93,7 +93,8 @@ def memorization_run():
     cands, refs = [], []
     for ex in examples:
         mi = assemble_model_input(ex, vocab, model_cfg.max_len)
-        ids = decode_example(ckpt, mi, beam_size=1, max_len=16, length_alpha=0.0)
+        ids = beam_search_decode(make_scorer(ckpt, mi), beam_size=1, max_len=16,
+                                 length_alpha=0.0)
         cands.append(tokenize(vocab.decode(ids)))
         refs.append(tokenize(ex.document.question))
     return {

@@ -43,7 +43,7 @@ def _grad_arrays(params):
 
 def _tiny_joint_batch(n_examples, vocab_cap=None, **model_kw):
     examples = synth.memorization_examples()[:n_examples]
-    vocab = Vocabulary.build(examples, vocab_cap, 1) if vocab_cap \
+    vocab = Vocabulary.build(examples, vocab_cap) if vocab_cap \
         else Vocabulary.build(examples)
     cfg = small_model_cfg(len(vocab), max_len=32, **model_kw)
     labels = label_examples(examples, BagMeanBackend(dim=16, seed=0), k=1)

@@ -9,7 +9,6 @@ from jointqg.decoding import (
     DecodeResult,
     beam_search_decode,
     beam_search_nbest,
-    decode_example,
     generate_file,
     generate_predictions,
     greedy_decode,
@@ -289,16 +288,17 @@ def test_make_scorer_returns_log_distribution(ibm_example, tiny_vocab,
 def test_decode_example_paths_agree(ibm_example, tiny_vocab, tiny_checkpoint):
     mi = assemble_model_input(ibm_example, tiny_vocab,
                               tiny_checkpoint.config.max_len)
-    greedy_ids = decode_example(tiny_checkpoint, mi, beam_size=1, max_len=8,
-                                length_alpha=0.0)
+    # each decode gets a fresh scorer, as generate_predictions gives it
+    greedy_ids = beam_search_decode(make_scorer(tiny_checkpoint, mi), beam_size=1,
+                                    max_len=8, length_alpha=0.0)
     scorer = make_scorer(tiny_checkpoint, mi)
     assert greedy_ids == greedy_decode(scorer, max_len=8)
-    beam_ids = decode_example(tiny_checkpoint, mi, beam_size=3, max_len=8,
-                              length_alpha=0.7)
+    beam_ids = beam_search_decode(make_scorer(tiny_checkpoint, mi), beam_size=3,
+                                  max_len=8, length_alpha=0.7)
     want = beam_search_nbest(scorer, beam_size=3, max_len=8, length_alpha=0.7)
     assert beam_ids == list(want[0].ids)
-    assert decode_example(tiny_checkpoint, mi, beam_size=3, max_len=8,
-                          length_alpha=0.7) == beam_ids
+    assert beam_search_decode(make_scorer(tiny_checkpoint, mi), beam_size=3, max_len=8,
+                              length_alpha=0.7) == beam_ids
 
 
 # ------------------------------------------------------------ predictions
@@ -308,7 +308,8 @@ def test_generate_predictions_record_matches_decode_example(ibm_example, tiny_vo
     rec, = generate_predictions(tiny_checkpoint, [ibm_example], tiny_vocab,
                                 beam_size=2, max_len=4, length_alpha=0.0)
     mi = assemble_model_input(ibm_example, tiny_vocab, tiny_checkpoint.config.max_len)
-    ids = decode_example(tiny_checkpoint, mi, beam_size=2, max_len=4, length_alpha=0.0)
+    ids = beam_search_decode(make_scorer(tiny_checkpoint, mi), beam_size=2, max_len=4,
+                             length_alpha=0.0)
     assert rec == {"id": "ibm-1", "prediction": tiny_vocab.decode(ids),
                    "gold": ibm_example.document.question, "beam_size": 2,
                    "score": rec["score"]}

@@ -101,8 +101,9 @@ def test_precomputed_rejects_non_finite_values(tmp_path, value):
     ("dim 2\na\t1 0\nb\t1 two\n", r"bad\.tsv:3: non-numeric vector value"),
     ("dim 2\n", r"bad\.tsv: no vectors"),
     ("dim 2\n\n\n", r"bad\.tsv: no vectors"),
+    ("dim 2\nfoo\t1 0\n\nfoo\t0 1\n", r"bad\.tsv:4: repeats token 'foo' of line 2"),
 ], ids=["dim-not-a-number", "dim-zero", "dim-negative", "non-numeric-value", "header-only",
-        "blank-lines-only"])
+        "blank-lines-only", "repeated-token"])
 def test_precomputed_refuses_a_malformed_table(tmp_path, text, message):
     p = tmp_path / "bad.tsv"
     p.write_text(text)

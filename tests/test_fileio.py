@@ -11,7 +11,7 @@ from jointqg.corpus import example_to_record, read_corpus_jsonl, write_corpus_js
 from jointqg.decoding import read_predictions_jsonl
 from jointqg.errors import SchemaError
 from jointqg.fileio import read_jsonl, read_keyed_jsonl, write_atomic, write_jsonl
-from jointqg.labeler import RelevanceLabels, read_labels_jsonl, write_labels_jsonl
+from jointqg.labeler import RelevanceLabels, write_labels_jsonl
 from jointqg.metrics import score_corpus, write_report_json
 
 import synth
@@ -65,10 +65,6 @@ _KEYED_READERS = {
                lambda key: example_to_record(
                    synth.make_example(key, "Ann ran. Bob sat.", "Who ran?", "Ann")),
                lambda examples: [ex.document.id for ex in examples]),
-    "labels": (read_labels_jsonl,
-               lambda key: {"id": key, "relevance": [1, 0], "scores": [0.5, 0.1],
-                            "k": 1, "qtype": "who"},
-               list),
     "predictions": (read_predictions_jsonl,
                     lambda key: {"id": key, "prediction": "x", "gold": "y",
                                  "beam_size": 1, "score": -1.0},

@@ -19,9 +19,10 @@ from jointqg import model as M
 from jointqg.cli import build_parser, main as cli_main
 from jointqg.corpus import load_squad_json, read_corpus_jsonl
 from jointqg.decoding import read_predictions_jsonl
-from jointqg.embedding import BACKEND_KINDS, BackendSpec, create_backend
+from jointqg.embedding import BACKEND_KINDS, BackendSpec, PrecomputedBackend, create_backend
 from jointqg.errors import SchemaError, StageError
-from jointqg.labeler import label_examples, read_labels_jsonl, write_labels_jsonl
+from jointqg.fileio import read_jsonl
+from jointqg.labeler import label_examples, write_labels_jsonl
 from jointqg.tokenizer import Vocabulary
 from jointqg.training import TRAIN_MODES
 
@@ -114,13 +115,12 @@ def test_vocab_artifact_loads(pipeline_run):
 
 
 def test_labels_artifact_obeys_k(pipeline_run):
-    records = read_labels_jsonl(str(pipeline_run["run_dir"] / "labels.jsonl"))
+    records = [rec for _, rec in read_jsonl(str(pipeline_run["run_dir"] / "labels.jsonl"))]
     examples = load_squad_json(pipeline_run["cfg"].train_data)
-    assert set(records) == {e.document.id for e in examples}
-    for ex in examples:
-        rl = records[ex.document.id]["labels"]
-        assert rl.k == 2
-        assert sum(rl.labels) == min(2, len(ex.sentences))
+    assert [rec["id"] for rec in records] == [e.document.id for e in examples]
+    for ex, rec in zip(examples, records):
+        assert rec["k"] == 2
+        assert sum(rec["relevance"]) == min(2, len(ex.sentences))
 
 
 def test_train_log_is_json_per_line(pipeline_run):
@@ -640,9 +640,30 @@ def test_cli_prepare_and_label(tmp_path, pipeline_run, capsys):
     labels = tmp_path / "labels.jsonl"
     assert cli_main(["label", str(corpus), "--out", str(labels),
                      "--k", "2", "--dim", "16"]) == 0
-    records = read_labels_jsonl(str(labels))
+    records = [rec for _, rec in read_jsonl(str(labels))]
     assert len(records) == 5
-    assert all(rec["labels"].k == 2 for rec in records.values())
+    assert all(rec["k"] == 2 for rec in records)
+
+
+def test_cli_label_with_a_vector_table(tmp_path, pipeline_run, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert cli_main(["prepare", str(pipeline_run["data"]), "--out", str(corpus)]) == 0
+    source = str(pathlib.Path(__file__).parent / "data" / "vectors_ibm.tsv")
+    labels = tmp_path / "labels.jsonl"
+    assert cli_main(["label", str(corpus), "--out", str(labels), "--k", "2",
+                     "--backend", "precomputed_file", "--source", source]) == 0
+    examples = read_corpus_jsonl(str(corpus))
+    want = label_examples(examples, PrecomputedBackend(source), 2)
+    records = [rec for _, rec in read_jsonl(str(labels))]
+    assert [(rec["id"], rec["relevance"], rec["scores"], rec["k"]) for rec in records] == [
+        (ex.document.id, list(lab.labels), list(lab.scores), 2)
+        for ex, lab in zip(examples, want)]
+    capsys.readouterr()
+    refused = tmp_path / "refused.jsonl"
+    assert cli_main(["label", str(corpus), "--out", str(refused),
+                     "--backend", "precomputed_file"]) == 2
+    assert capsys.readouterr().err == "label: precomputed_file backend needs a source path\n"
+    assert not refused.exists()
 
 
 def test_cli_train_runs_pipeline(tmp_path, pipeline_run, capsys):

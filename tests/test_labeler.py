@@ -1,12 +1,10 @@
 """Weak-supervision labeling: ranking, top-k labels, question types."""
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from jointqg.embedding import BagMeanBackend, PrecomputedBackend
-from jointqg.errors import SchemaError
+from jointqg.fileio import read_jsonl
 from jointqg.labeler import (
     QUESTION_TYPES,
     RelevanceLabels,
@@ -15,7 +13,6 @@ from jointqg.labeler import (
     question_type_index,
     question_type_of,
     rank_sentences,
-    read_labels_jsonl,
     write_labels_jsonl,
 )
 from synth import make_example
@@ -175,13 +172,12 @@ def test_labels_jsonl_round_trip(tiny_examples, tmp_path):
     path = tmp_path / "labels.jsonl"
     write_labels_jsonl(tiny_examples, labels, str(path))
 
-    records = read_labels_jsonl(str(path))
-    assert set(records) == {ex.document.id for ex in tiny_examples}
-    for ex, lab in zip(tiny_examples, labels):
-        rec = records[ex.document.id]
-        assert rec["labels"].labels == lab.labels
-        assert rec["labels"].scores == lab.scores  # json floats round-trip
-        assert rec["labels"].k == lab.k
+    records = [rec for _, rec in read_jsonl(str(path))]
+    assert [rec["id"] for rec in records] == [ex.document.id for ex in tiny_examples]
+    for ex, lab, rec in zip(tiny_examples, labels, records):
+        assert tuple(rec["relevance"]) == lab.labels
+        assert tuple(rec["scores"]) == lab.scores  # json floats round-trip
+        assert rec["k"] == lab.k
         assert rec["qtype"] == question_type_of(ex.document.question)
 
 
@@ -189,38 +185,3 @@ def test_labels_jsonl_write_length_mismatch(tiny_examples, tmp_path):
     with pytest.raises(ValueError):
         write_labels_jsonl(tiny_examples, [], str(tmp_path / "x.jsonl"))
 
-
-def test_labels_jsonl_bad_record(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"id": "a", "relevance": [1]}) + "\n")
-    with pytest.raises(SchemaError, match="bad.jsonl:1"):
-        read_labels_jsonl(str(path))
-    # a label other than 0 or 1, though the labels sum to min(k, n)
-    path.write_text(json.dumps({"id": "a", "relevance": [2, 0], "scores": [0.5, 0.4],
-                                "k": 2, "qtype": "what"}) + "\n")
-    with pytest.raises(SchemaError, match="bad.jsonl:1: .*labels must be 0 or 1"):
-        read_labels_jsonl(str(path))
-
-
-def test_labels_jsonl_non_json_line(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"id": "a", "relevance": [1], "scores": [0.5],
-                                "k": 1, "qtype": "what"}) + "\n[1,\n")
-    with pytest.raises(SchemaError, match="bad.jsonl:2: not valid JSON"):
-        read_labels_jsonl(str(path))
-
-
-def test_labels_jsonl_repeated_id_is_refused(tmp_path):
-    rec = {"id": "a", "relevance": [1], "scores": [0.5], "k": 1, "qtype": "what"}
-    other = dict(rec, id="b")
-    path = tmp_path / "dup.jsonl"
-    path.write_text("".join(json.dumps(r) + "\n" for r in (rec, other, dict(rec, k=2))))
-    with pytest.raises(SchemaError, match=r"dup.jsonl:3: repeats id 'a' of line 1"):
-        read_labels_jsonl(str(path))
-
-
-def test_labels_jsonl_empty_file(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    with pytest.raises(SchemaError):
-        read_labels_jsonl(str(path))

@@ -122,8 +122,9 @@ def test_init_is_independent_of_the_hash_seed():
 def test_n_scalars_matches_shapes():
     cfg = small_model_cfg(20)
     p = M.Parameters.init(cfg)
+    assert {name: t.shape for name, t in p.items()} == M.param_shapes(cfg)
     expected = sum(int(np.prod(s)) for s in M.param_shapes(cfg).values())
-    assert p.n_scalars() == expected
+    assert sum(t.data.size for _, t in p.items()) == expected
     assert p.names() == sorted(p.names())
 
 
@@ -651,15 +652,15 @@ def test_checkpoint_bytes_equal_the_whole_entry_writer(tmp_path, tiny_params, ti
     assert streamed.read_bytes() == whole.read_bytes()
 
 
-def test_checkpoint_fortran_ordered_tensor_saved_as_np_save_writes_it(
+def test_checkpoint_fortran_ordered_tensor_saved_in_c_order(
         tmp_path, tiny_params, tiny_model_cfg, tiny_vocab):
     params = tiny_params.copy()
     params["sel.w1"].data = np.asfortranarray(params["sel.w1"].data)
-    streamed, whole = tmp_path / "streamed.ckpt", tmp_path / "whole.ckpt"
-    M.save_checkpoint(str(streamed), params, tiny_model_cfg, tiny_vocab)
-    save_checkpoint_bytesio(str(whole), params, tiny_model_cfg, tiny_vocab)
-    assert streamed.read_bytes() == whole.read_bytes()
-    loaded = M.load_checkpoint(str(streamed)).params["sel.w1"].data
+    fortran, c_order = tmp_path / "fortran.ckpt", tmp_path / "c.ckpt"
+    M.save_checkpoint(str(fortran), params, tiny_model_cfg, tiny_vocab)
+    M.save_checkpoint(str(c_order), tiny_params, tiny_model_cfg, tiny_vocab)
+    assert fortran.read_bytes() == c_order.read_bytes()
+    loaded = M.load_checkpoint(str(fortran)).params["sel.w1"].data
     assert np.array_equal(loaded, params["sel.w1"].data.astype("<f4"))
 
 
@@ -844,10 +845,14 @@ def test_checkpoint_object_array_entry_rejected(tmp_path, tiny_params, tiny_mode
         M.load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("layout", ["fortran-order", "npy-version-2"])
-def test_checkpoint_entry_layouts_load_the_same_values(tmp_path, tiny_params,
-                                                       tiny_model_cfg, tiny_vocab,
-                                                       layout):
+@pytest.mark.parametrize("layout, message", [
+    ("fortran-order", r"is stored in Fortran order, expected C order"),
+    ("npy-version-2", r"is missing or corrupt \(ValueError: unsupported \.npy format version"),
+], ids=["fortran-order", "npy-version-2"])
+def test_checkpoint_entry_layouts_save_never_writes_are_refused(tmp_path, tiny_params,
+                                                                tiny_model_cfg, tiny_vocab,
+                                                                layout, message):
+    # np.save writes either for these values; save_checkpoint writes neither
     src = str(tmp_path / "good.ckpt")
     M.save_checkpoint(src, tiny_params, tiny_model_cfg, tiny_vocab)
     arr = tiny_params["sel.w1"].data.astype("<f4")
@@ -856,11 +861,10 @@ def test_checkpoint_entry_layouts_load_the_same_values(tmp_path, tiny_params,
         np.save(buf, np.asfortranarray(arr), allow_pickle=False)
     else:
         np.lib.format.write_array(buf, arr, version=(2, 0), allow_pickle=False)
-    other = str(tmp_path / "other.ckpt")
-    _tampered_copy(src, other, replace=("tensors/sel.w1.npy", buf.getvalue()))
-    a, b = M.load_checkpoint(src), M.load_checkpoint(other)
-    for name in a.params.names():
-        assert np.array_equal(a.params[name].data, b.params[name].data)
+    bad = str(tmp_path / "bad.ckpt")
+    _tampered_copy(src, bad, replace=("tensors/sel.w1.npy", buf.getvalue()))
+    with pytest.raises(SchemaError, match=rf"bad\.ckpt: tensor sel\.w1 {message}"):
+        M.load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -989,13 +993,7 @@ def _deflated_copy(src, dst):
 @pytest.mark.parametrize("deflate", [False, True], ids=["stored", "deflated"])
 def test_checkpoint_tensors_equal_whole_entry_reads(tmp_path, tiny_vocab, deflate):
     # 5003 x 16 = 80048 values: one full read chunk and a partial one
-    wide = _wide_checkpoint(tmp_path, tiny_vocab, 5003)
-    with zipfile.ZipFile(wide) as zf:
-        out_w = np.load(io.BytesIO(zf.read("tensors/out.w.npy")))
-    # one entry written column-major, which the reader must lay out the same
-    path = str(tmp_path / "mixed.ckpt")
-    _tampered_copy(wide, path, replace=("tensors/out.w.npy",
-                                        _npy_bytes(np.asfortranarray(out_w))))
+    path = str(_wide_checkpoint(tmp_path, tiny_vocab, 5003))
     if deflate:
         _deflated_copy(path, str(tmp_path / "deflated.ckpt"))
         path = str(tmp_path / "deflated.ckpt")

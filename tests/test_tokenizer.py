@@ -35,13 +35,6 @@ def test_frequency_order():
     assert v.token_to_id["a"] >= N_SPECIALS
 
 
-def test_min_freq_filters():
-    ex = synth.make_example("f", "a a b.", "a a?", "a")
-    v = Vocabulary.build([ex], min_freq=3)
-    assert "a" in v.token_to_id
-    assert "b" not in v.token_to_id
-
-
 def test_fifty_example_vocab_size_bound():
     examples = synth.memorization_examples()
     v = Vocabulary.build(examples, max_size=200)
@@ -69,9 +62,9 @@ _VOCAB_POOL = ["a", "ab", "b", "10", "9", "\u00e9", "z", ",", "_x", "\u0663"]
 @settings(max_examples=200)
 @given(st.lists(st.lists(st.sampled_from(_VOCAB_POOL), min_size=1, max_size=12),
                 min_size=1, max_size=4),
-       st.integers(1, 3), st.integers(1, len(_VOCAB_POOL) + 2))
-@example([["b", "a", "c", "b", "a", "c", "d"]], 1, 2)  # the cut falls inside a tie
-def test_vocab_order_matches_the_tuple_key_sort(contexts, min_freq, max_size):
+       st.integers(1, len(_VOCAB_POOL) + 2))
+@example([["b", "a", "c", "b", "a", "c", "d"]], 2)  # the cut falls inside a tie
+def test_vocab_order_matches_the_tuple_key_sort(contexts, max_size):
     examples = [synth.make_example(f"t{i}", " ".join(words), "?", words[0])
                 for i, words in enumerate(contexts)]
     counts = Counter()
@@ -79,8 +72,8 @@ def test_vocab_order_matches_the_tuple_key_sort(contexts, min_freq, max_size):
         d = ex.document
         for text in (d.context, d.question, d.answer_text):
             counts.update(tokenize(text))
-    v = Vocabulary.build(examples, max_size=max_size, min_freq=min_freq)
-    assert v.id_to_token[N_SPECIALS:] == vocab_order_tuple_key(counts, min_freq, max_size)
+    v = Vocabulary.build(examples, max_size=max_size)
+    assert v.id_to_token[N_SPECIALS:] == vocab_order_tuple_key(counts, 1, max_size)
 
 
 _ROCKS = synth.make_example("e", "Crews kept rocks.", "What?", "rocks")
@@ -88,13 +81,13 @@ _ROCKS = synth.make_example("e", "Crews kept rocks.", "What?", "rocks")
 
 @pytest.mark.parametrize("build,message", [
     (lambda: Vocabulary(["a", "b"]), "vocabulary must start with the special tokens"),
-    (lambda: Vocabulary.build([_ROCKS], min_freq=0), "min_freq must be positive"),
+    (lambda: Vocabulary.build([_ROCKS], max_size=0), "max_size must be positive"),
     (lambda: assemble_model_input(_ROCKS, Vocabulary.build([_ROCKS]), max_len=7),
      "max_len must be at least 8"),
     (lambda: assemble_model_input(synth.make_example("w", "Crews kept rocks.", "What?", " "),
                                   Vocabulary.build([_ROCKS])),
      "w: answer has no tokens"),
-], ids=["no-special-tokens", "min-freq-0", "max-len-7", "whitespace-answer"])
+], ids=["no-special-tokens", "max-size-0", "max-len-7", "whitespace-answer"])
 def test_vocab_and_assembly_refusals(build, message):
     with pytest.raises(ValueError, match=message):
         build()
