@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import json
 import os
+import stat
+import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 from .errors import SchemaError
+
+
+# Closes of replaced files still pending on a background thread; bounded so
+# a burst of overwrites cannot pile up open descriptors: past the bound a
+# writer waits for one of them to finish.
+_pending_closes = threading.BoundedSemaphore(8)
 
 
 @contextmanager
@@ -21,10 +29,45 @@ def atomic_file(path: str):
     try:
         with open(tmp, "wb") as fh:
             yield fh
-        os.replace(tmp, path)
+        _replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _replace(tmp: str, path: str) -> None:
+    """``os.replace(tmp, path)`` that frees the replaced file off the
+    writer's thread: a descriptor on a regular file at path is held across
+    the rename and closed on a background thread. The rename is still onto
+    the existing file, so ext4 allocates the new file's blocks before the
+    rename commits (``auto_da_alloc``), as with a plain ``os.replace``.
+    Freeing the replaced file's blocks, done at its last close, took
+    33-84 ms on an ext4 virtio disk mounted with ``discard`` when that
+    300-byte file had itself replaced an older one, whether it was 0.1 s or
+    40 s old."""
+    try:
+        old = os.open(path, os.O_RDONLY) if stat.S_ISREG(os.lstat(path).st_mode) else None
+    except OSError:  # absent, unreadable or removed after the lstat
+        old = None
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        if old is not None:
+            os.close(old)
+        raise
+    if old is not None:
+        _pending_closes.acquire()
+        try:
+            threading.Thread(target=_close, args=(old,), name="fileio-close").start()
+        except RuntimeError:  # no thread to spare: the write still succeeded
+            _close(old)
+
+
+def _close(fd: int) -> None:
+    try:
+        os.close(fd)
+    finally:
+        _pending_closes.release()
 
 
 def write_atomic(path: str, data: str | bytes) -> None:

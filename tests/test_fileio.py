@@ -3,16 +3,19 @@ payload first and renames a temp file beside the target into place."""
 import dataclasses
 import json
 import os
+import sys
+import threading
 
 import pytest
 
 from jointqg import harness as H
 from jointqg.corpus import example_to_record, read_corpus_jsonl, write_corpus_jsonl
-from jointqg.decoding import read_predictions_jsonl
+from jointqg.decoding import read_predictions_jsonl, write_predictions_jsonl
 from jointqg.errors import SchemaError
 from jointqg.fileio import read_jsonl, read_keyed_jsonl, write_atomic, write_jsonl
 from jointqg.labeler import RelevanceLabels, write_labels_jsonl
 from jointqg.metrics import score_corpus, write_report_json
+from jointqg.model import save_checkpoint
 
 import synth
 
@@ -89,6 +92,133 @@ def test_write_atomic_failed_rename_leaves_no_temp_file(tmp_path):
     with pytest.raises(OSError):
         write_atomic(str(taken), "x")
     assert os.listdir(tmp_path) == ["taken"] and taken.is_dir()
+
+
+def test_failed_rename_keeps_the_old_file_and_no_stray(tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    write_atomic(str(path), "old")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(src).endswith(".tmp"):
+            raise OSError("rename refused")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="rename refused"):
+        write_atomic(str(path), "new")
+    assert path.read_text() == "old"
+    assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_symlink_target_is_replaced_as_a_link(tmp_path):
+    real, link = tmp_path / "real", tmp_path / "link"
+    real.write_text("real")
+    link.symlink_to(real)
+    write_atomic(str(link), "new")
+    assert not link.is_symlink() and link.read_text() == "new"
+    assert real.read_text() == "real"
+    assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+
+
+def test_target_removed_after_the_lstat_is_written_as_a_new_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    path.write_text("old")
+    real_lstat = os.lstat
+
+    def lstat(p, *args, **kwargs):
+        st = real_lstat(p, *args, **kwargs)
+        if os.fspath(p) == str(path):
+            os.remove(p)
+        return st
+
+    monkeypatch.setattr(os, "lstat", lstat)
+    write_atomic(str(path), "new")
+    assert path.read_text() == "new"
+    assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def _join_pending_closes():
+    for thread in threading.enumerate():
+        if thread.name == "fileio-close":
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+def test_a_burst_of_overwrites_leaves_no_descriptor_open(tmp_path):
+    """Threads overwriting their own file in a tight loop can outrun the
+    background closes, which are bounded (12 overwrites against 8 pending
+    closes); every replaced file is closed once they are done."""
+    before = len(os.listdir("/proc/self/fd"))
+
+    def overwrite(name):
+        for i in range(4):
+            write_atomic(str(tmp_path / name), f"{name} {i}")
+
+    writers = [threading.Thread(target=overwrite, args=(f"f{n}",)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    _join_pending_closes()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert sorted(os.listdir(tmp_path)) == ["f0", "f1", "f2", "f3"]
+    assert (tmp_path / "f3").read_text() == "f3 3"
+
+
+def test_overwrites_free_the_replaced_file_off_the_writers_thread(
+        tmp_path, monkeypatch, tiny_checkpoint, tiny_vocab):
+    """Each writer below overwrites its file. The rename does not drop the
+    replaced file's last reference: the writer holds the file open, and the
+    close that frees it runs on another thread, since freeing a replaced
+    file's blocks is what stalls on some ext4 disks. This is the same on any
+    filesystem."""
+    prediction = {"id": "a", "prediction": "x", "gold": "y", "beam_size": 1, "score": -1.0}
+    writers = {
+        "a.txt": lambda path: write_atomic(path, "text"),
+        "model.ckpt": lambda path: save_checkpoint(
+            path, tiny_checkpoint.params, tiny_checkpoint.config, tiny_vocab),
+        "predictions.jsonl": lambda path: write_predictions_jsonl([prediction], path),
+    }
+    for name, write in writers.items():
+        write(str(tmp_path / name))
+    _join_pending_closes()
+    replaced, freed = [], []
+    real_replace, real_close = os.replace, os.close
+
+    def replace(src, dst):
+        if os.path.exists(dst):
+            st = os.stat(dst)
+            replaced.append((st.st_dev, st.st_ino))
+        real_replace(src, dst)
+
+    def close(fd):
+        try:
+            st = os.fstat(fd)
+        except OSError:
+            st = None
+        if st is not None and st.st_nlink == 0 and (st.st_dev, st.st_ino) in replaced:
+            freed.append(((st.st_dev, st.st_ino), threading.current_thread().name))
+        real_close(fd)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "close", close)
+    for name, write in writers.items():
+        with open(tmp_path / name, "rb") as fh:
+            before = fh.read()
+        write(str(tmp_path / name))
+        with open(tmp_path / name, "rb") as fh:
+            assert fh.read() == before
+    _join_pending_closes()
+    assert len(replaced) == len(writers)
+    assert sorted(freed) == sorted((key, "fileio-close") for key in replaced)
+    assert sorted(os.listdir(tmp_path)) == sorted(writers)
 
 
 def _report_writer(examples, bad):
