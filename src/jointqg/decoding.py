@@ -63,7 +63,7 @@ def _next_logprobs(scorer, prefix: list[int]) -> np.ndarray:
 
 
 def _norm_score(logp: float, length: int, alpha: float) -> float:
-    return logp / (length ** alpha) if alpha != 0.0 else logp
+    return logp / length ** alpha
 
 
 def greedy_decode(scorer, max_len: int = 32) -> list[int]:

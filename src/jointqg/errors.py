@@ -26,8 +26,8 @@ class InputTooLongError(ValueError):
 class NumericError(ArithmeticError):
     """A non-finite value appeared during a forward or training step."""
 
-    def __init__(self, message: str, where: str | None = None):
-        super().__init__(message if where is None else f"{message} (at {where})")
+    def __init__(self, message: str, where: str):
+        super().__init__(f"{message} (at {where})")
         self.where = where
 
 

@@ -280,9 +280,12 @@ def _run_study(cfg: ExperimentConfig, name: str, key: str, subdir: str, values,
 
 def sweep_top_k(cfg: ExperimentConfig, k_list: list[int]) -> tuple[list[dict], list[dict]]:
     """Run the pipeline once per k into sweep_k.csv under out_dir, a failed k
-    into sweep_k_errors.csv. An empty or repeating k_list raises first."""
+    into sweep_k_errors.csv. An empty k_list, a k below 1 or a repeated k
+    raises first."""
     if not k_list:
         raise ValueError("k_list must not be empty")
+    if min(k_list) < 1:
+        raise ValueError(f"k_list holds a k below 1: {list(k_list)}")
     if len(set(k_list)) < len(k_list):
         raise ValueError(f"k_list repeats a k: {list(k_list)}")
     return _run_study(cfg, "sweep_k", "k", "k", [int(k) for k in k_list],

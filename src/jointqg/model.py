@@ -341,7 +341,7 @@ def _decoder_head(y: Tensor, p: Parameters) -> Tensor:
 
 
 def decoder_logits(dec_ids: np.ndarray, memory: Tensor,
-                   memory_bias: np.ndarray | None, p: Parameters,
+                   cross_bias: np.ndarray | None, p: Parameters,
                    cfg: ModelConfig) -> Tensor:
     """Teacher-forced decoder forward; returns logits (B, U, V)."""
     u = dec_ids.shape[1]
@@ -350,7 +350,7 @@ def decoder_logits(dec_ids: np.ndarray, memory: Tensor,
     self_bias = causal_bias(u)
     for i in range(cfg.decoder_layers):
         cross_kv = _attention_kv(memory, p, f"dec{i}.cross", cfg.attention_heads)
-        y, _ = _decoder_layer(y, i, None, self_bias, cross_kv, memory_bias, p, cfg)
+        y, _ = _decoder_layer(y, i, None, self_bias, cross_kv, cross_bias, p, cfg)
     return _decoder_head(y, p)
 
 
@@ -407,7 +407,8 @@ class DecoderSession:
     """Incremental decoding context for one encoded example.
 
     The cross-attention keys and values of the memory are projected once,
-    here. The state of a prefix is every decoder layer's self-attention
+    here. The memory is one unpadded example, so cross-attention takes no
+    mask. The state of a prefix is every decoder layer's self-attention
     keys and values over [BOS] + prefix plus the last position's output
     row, and it is always built from its parent prefix's state by one
     one-row step through the same blocks as ``decoder_logits``. A prefix's
@@ -421,11 +422,9 @@ class DecoderSession:
     def __init__(self, enc: EncoderOutput, p: Parameters, cfg: ModelConfig):
         self.p = p
         self.cfg = cfg
-        self.memory = Tensor(enc.token_states[None])
-        self.memory_bias = key_padding_bias(np.ones((1, enc.token_states.shape[0])))
+        memory = Tensor(enc.token_states[None])
         with ad.no_grad():
-            self.cross_kv = [_attention_kv(self.memory, p, f"dec{i}.cross",
-                                           cfg.attention_heads)
+            self.cross_kv = [_attention_kv(memory, p, f"dec{i}.cross", cfg.attention_heads)
                              for i in range(cfg.decoder_layers)]
         # [BOS] + prefix ids -> (per-layer self-attention (k, v), last output row)
         self._states: dict[tuple[int, ...], tuple[list, Tensor]] = {}
@@ -436,7 +435,7 @@ class DecoderSession:
         new_kv = []
         for i in range(self.cfg.decoder_layers):
             y, layer_kv = _decoder_layer(y, i, kv[i] if kv else None, None, self.cross_kv[i],
-                                         self.memory_bias, self.p, self.cfg)
+                                         None, self.p, self.cfg)
             new_kv.append(layer_kv)
         return new_kv, y
 

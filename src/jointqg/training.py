@@ -40,7 +40,7 @@ _RELEVANCE_MODES = ("joint", "two_step_stage1")
 
 @dataclass
 class TrainConfig:
-    """One training job; Adam runs at its fixed beta1, beta2 and eps."""
+    """One training job; Adam runs at its fixed, published settings."""
 
     mode: str = "joint"
     lambda_weight: float = 0.5
@@ -127,51 +127,40 @@ def _generation_loss_t(logits: Tensor, targets: np.ndarray, nonpad: np.ndarray) 
     return (picked * Tensor(nonpad)).sum() * (-1.0 / nonpad.sum())
 
 
-def _qtype_loss_t(logits: Tensor, targets: np.ndarray) -> Tensor:
-    logp = ad.log_softmax(logits, axis=-1)
-    picked = ad.getitem(logp, (np.arange(targets.size), targets))
-    return picked.mean() * -1.0
+# Adam's published settings (Kingma & Ba, arXiv 1412.6980)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 class Adam:
     """Adam with decoupled, lr-independent weight decay.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - wd * theta
-    Training uses the published beta1, beta2 and eps (Kingma & Ba, arXiv
-    1412.6980) below; only a test passes others.
-    A parameter's moments are created at its first gradient. Until then
-    they would be exact zeros, whose update is exactly 0.0, so the step
-    applies only the decay. From then on a missing gradient counts as zero,
-    so the moment estimates advance in every step.
+    Every parameter's moments start as zeros, and a missing gradient counts
+    as zero. A parameter that never has a gradient, such as a head its mode
+    does not train, therefore gets an update of exactly 0.0, and only the
+    decay acts on it.
     """
 
-    def __init__(self, params: M.Parameters, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: M.Parameters, lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - _BETA1 ** self.t
+        bc2 = 1.0 - _BETA2 ** self.t
         for name, p in self.params.items():
-            if p.grad is None and name not in self._m:
-                # p - lr * 0.0 == p for any finite lr
-                p.data = p.data - self.weight_decay * p.data
-                continue
             # a scalar zero gives bitwise the same moments as a zeros array
             g = p.grad if p.grad is not None else 0.0
-            m = self._m[name] = b1 * self._m.get(name, 0.0) + (1.0 - b1) * g
-            v = self._v[name] = b2 * self._v.get(name, 0.0) + (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m = self._m[name] = _BETA1 * self._m[name] + (1.0 - _BETA1) * g
+            v = self._v[name] = _BETA2 * self._v[name] + (1.0 - _BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
             p.data = p.data - self.lr * update - self.weight_decay * p.data
 
 
@@ -252,9 +241,11 @@ def _batch_losses(batch, params, model_cfg, mode, lam):
                                   params, model_cfg)
         gen_loss = _generation_loss_t(logits, targets, gen_mask)
     if mode == "aux_qtc":
-        qtypes = np.asarray([pe.qtype for pe in batch], dtype=np.int64)
-        pooled = M.pooled_vector(states, enc["nonpad"])
-        sel_loss = _qtype_loss_t(M.qtype_logits(pooled, params), qtypes)
+        # the question type as a one-token target of the generation NLL
+        qtypes = np.asarray([[pe.qtype] for pe in batch], dtype=np.int64)
+        qt_logits = M.qtype_logits(M.pooled_vector(states, enc["nonpad"]), params)
+        sel_loss = _generation_loss_t(qt_logits.reshape((len(batch), 1, -1)), qtypes,
+                                      np.ones(qtypes.shape))
 
     if mode == "generation_only":
         total = gen_loss

@@ -434,13 +434,15 @@ def test_sweep_top_k_rows_and_csv(tmp_path, pipeline_run):
 
 def test_sweep_top_k_collects_errors(tmp_path, pipeline_run):
     cfg = make_cfg(tmp_path, pipeline_run["data"], epochs=0)
-    rows, errors = H.sweep_top_k(cfg, [2, 0])
+    # a file where k3's run directory goes fails that run before any stage
+    (tmp_path / "k3").write_text("")
+    rows, errors = H.sweep_top_k(cfg, [2, 3])
     assert [r["k"] for r in rows] == [2]
     assert len(errors) == 1
-    assert errors[0]["k"] == 0
-    # config validation fires before any stage starts, so no stage name
+    assert errors[0]["k"] == 3
+    # the failure came before any stage started, so no stage name
     assert errors[0]["stage"] == "unknown"
-    assert "k must be positive" in errors[0]["error"]
+    assert "k3" in errors[0]["error"]
     with open(tmp_path / "sweep_k_errors.csv", newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert parsed[0]["stage"] == "unknown"
@@ -450,6 +452,15 @@ def test_sweep_rejects_empty_k_list(tmp_path, pipeline_run):
     cfg = make_cfg(tmp_path, pipeline_run["data"], epochs=0)
     with pytest.raises(ValueError, match="k_list"):
         H.sweep_top_k(cfg, [])
+
+
+@pytest.mark.parametrize("k_list", [[0], [2, 0], [1, -1]])
+def test_sweep_refuses_a_k_below_1_before_any_run(tmp_path, pipeline_run, k_list):
+    out = tmp_path / "sweep"
+    cfg = make_cfg(out, pipeline_run["data"], epochs=0)
+    with pytest.raises(ValueError, match="k below 1"):
+        H.sweep_top_k(cfg, k_list)
+    assert not out.exists()
 
 
 def test_compare_modes_zero_lambda_ties_generation_only(tmp_path, pipeline_run):
@@ -731,7 +742,7 @@ def test_cli_sweep_k_rejects_garbage_list(tmp_path, pipeline_run, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["sweep-k", "--k-list", ","], "--k-list must be comma-separated integers"),
-    (["sweep-k", "--k-list", "0,-1"], "--k-list must be comma-separated integers of at least 1"),
+    (["sweep-k", "--k-list", "0,-1"], "sweep-k: k_list holds a k below 1: [0, -1]"),
     (["sweep-k", "--k-list", "2,1,2"], "sweep-k: k_list repeats a k: [2, 1, 2]"),
     (["compare-modes", "--modes", "joint"], "--modes: compare_modes needs at least two modes"),
     (["compare-modes", "--modes", "joint,bogus"], "--modes: unknown training modes ['bogus']"),

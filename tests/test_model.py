@@ -465,12 +465,14 @@ def session_setup(request):
     return cfg, p, M.EncoderOutput(states, states[:2])
 
 
-def _full_recompute(session, prefix):
-    """log_softmax of the last row of decoder_logits over [BOS] + prefix."""
+def _full_recompute(enc, p, cfg, prefix):
+    """log_softmax of the last row of decoder_logits over [BOS] + prefix,
+    with the all-zero mask of a memory without padding."""
     ids = np.array([[BOS_ID] + list(prefix)], dtype=np.int64)
+    memory = enc.token_states[None]
     with no_grad():
-        logits = M.decoder_logits(ids, session.memory, session.memory_bias,
-                                  session.p, session.cfg)
+        logits = M.decoder_logits(ids, Tensor(memory),
+                                  M.key_padding_bias(np.ones(memory.shape[:2])), p, cfg)
         return log_softmax(logits[0, -1], axis=-1).data
 
 
@@ -490,7 +492,7 @@ def test_session_matches_full_recompute_in_any_call_order(session_setup):
     sequential = M.DecoderSession(enc, p, cfg)
     want = {pre: sequential.step_logprobs(pre) for pre in prefixes}
     for pre, lp in want.items():
-        assert np.abs(lp - _full_recompute(sequential, pre)).max() <= 1e-9
+        assert np.abs(lp - _full_recompute(enc, p, cfg, pre)).max() <= 1e-9
     assert max(len(pre) for pre in want) == cfg.max_len - 1
 
     shuffled = [prefixes[i] for i in np.random.default_rng(2).permutation(len(prefixes))]
@@ -529,9 +531,9 @@ def test_session_and_full_recompute_decode_the_same_ids(ibm_example, tiny_vocab,
                                                         mode, beam):
     cfg = small_model_cfg(len(tiny_vocab), decoder_layers=2, max_len=128)
     p = _sharp_params(cfg)
-    session = M.DecoderSession(_encoded(ibm_example, tiny_vocab, p, cfg), p, cfg)
-    cached = beam_search_nbest(session.step_logprobs, beam, max_len=12)
-    full = beam_search_nbest(lambda pre: _full_recompute(session, pre), beam, max_len=12)
+    enc = _encoded(ibm_example, tiny_vocab, p, cfg)
+    cached = beam_search_nbest(M.DecoderSession(enc, p, cfg).step_logprobs, beam, max_len=12)
+    full = beam_search_nbest(lambda pre: _full_recompute(enc, p, cfg, pre), beam, max_len=12)
     assert [r.ids for r in cached] == [r.ids for r in full]
     assert np.allclose([r.score for r in cached], [r.score for r in full],
                        rtol=0.0, atol=1e-9)

@@ -20,8 +20,8 @@ from jointqg.labeler import RelevanceLabels, label_examples, question_type_of
 from jointqg.model import Checkpoint, Parameters
 from jointqg.tokenizer import EOS_ID, Vocabulary, pad_batch, pad_rows
 from conftest import small_model_cfg
-from oracles import (adam_eager_oracle, decoder_batch_loop, pad_batch_loop,
-                     selector_batch_loop)
+from oracles import (adam_eager_oracle, central_difference, decoder_batch_loop,
+                     pad_batch_loop, selector_batch_loop)
 import synth
 
 LN2 = 0.6931471805599453
@@ -136,7 +136,7 @@ def test_adam_zero_lr_zero_decay_is_identity():
 
 def test_adam_single_step_closed_form():
     p = _single_param([1.0], grad=[2.0])
-    T.Adam(p, lr=0.5, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0).step()
+    T.Adam(p, lr=0.5, weight_decay=0.0).step()
     m_hat = (0.1 * 2.0) / (1.0 - 0.9)
     v_hat = (0.001 * 4.0) / (1.0 - 0.999)
     want = 1.0 - 0.5 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -188,20 +188,21 @@ def _run_adam(init, grads_per_step, **kw):
 # would show up in the sign bit
 _ADAM_INIT = {"seen": [[0.5, -0.0, 0.0], [-2.0, 3.0, 1e-300]],
               "never": [[1.5, -0.0], [0.0, -7.0]]}
-_ADAM_KW = dict(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+_ADAM_KW = dict(lr=0.01, weight_decay=0.01)
 
 
-def test_adam_never_graded_parameter_has_no_moments_and_only_decays():
+def test_adam_never_graded_parameter_keeps_zero_moments_and_only_decays():
     rng = np.random.default_rng(5)
     grads = [{"seen": rng.normal(size=(2, 3))} for _ in range(4)]
     grads[1]["seen"][0, 1] = -0.0
     p, adam = _run_adam(_ADAM_INIT, grads, **_ADAM_KW)
-    assert "never" not in adam._m and "never" not in adam._v
+    zeros = np.zeros((2, 2)).tobytes()
+    assert adam._m["never"].tobytes() == zeros and adam._v["never"].tobytes() == zeros
     data, m, v = adam_eager_oracle(_ADAM_INIT, grads, **_ADAM_KW)
     for k in _ADAM_INIT:
         assert p[k].data.tobytes() == data[k].tobytes(), k
-    assert adam._m["seen"].tobytes() == m["seen"].tobytes()
-    assert adam._v["seen"].tobytes() == v["seen"].tobytes()
+        assert adam._m[k].tobytes() == m[k].tobytes(), k
+        assert adam._v[k].tobytes() == v[k].tobytes(), k
 
 
 def test_adam_first_gradient_at_step_3_matches_explicit_zero_gradients():
@@ -220,7 +221,7 @@ def test_adam_first_gradient_at_step_3_matches_explicit_zero_gradients():
         assert got_a._v["seen"].tobytes() == v["seen"].tobytes()
 
 
-def test_two_step_stages_keep_moments_only_for_parameters_with_gradients(
+def test_two_step_stages_keep_moments_only_for_their_drawn_tensors(
         stall_setup, monkeypatch):
     optimizers = []
 
@@ -237,8 +238,8 @@ def test_two_step_stages_keep_moments_only_for_parameters_with_gradients(
     generator_only = {n for n in names
                       if n.startswith(("dec", "out.", "qt.")) or n == "pos_dec"}
     assert sel <= set(stage1._m) and not generator_only & set(stage1._m)
-    # stage 2 trains generation alone: no selector or question-type head
-    assert "out.w" in stage2._m and not (sel | {"qt.w1"}) & set(stage2._m)
+    # stage 2 draws a full model; its untrained heads hold zero moments
+    assert set(stage2._m) == set(names)
     assert set(stage1._m) == set(stage1._v) and set(stage2._m) == set(stage2._v)
 
 
@@ -526,6 +527,40 @@ def test_joint_total_is_weighted_sum(stall_setup):
         combo = lam * s + (1.0 - lam) * g
         scale = max(1.0, np.abs(combo).max())
         assert np.abs(jg - combo).max() / scale < 1e-9, name
+
+
+def test_aux_qtc_question_type_loss_and_gradient(stall_setup):
+    examples, labels, qtypes, vocab, cfg = stall_setup
+    prepared, _ = T.prepare_examples(examples, labels, qtypes, vocab, cfg,
+                                     T.TrainConfig())
+    batch = prepared[:5]
+    params = Parameters.init(cfg, seed=2)
+    total, sel_l, gen_l = T._batch_losses(batch, params, cfg, "aux_qtc", 0.3)
+
+    # by hand: mean of -log softmax at each gold type, over the question-type
+    # logits of the mean of each example's real token states
+    enc = pad_batch([pe.model_input for pe in batch])
+    with ad.no_grad():
+        states = M.encoder_states(enc["token_ids"], enc["nonpad"], params, cfg).data
+    real = enc["nonpad"][:, :, None].astype(np.float64)
+    pooled = (states * real).sum(axis=1) / real.sum(axis=1)
+    w = {n: params[n].data for n in ("qt.w1", "qt.b1", "qt.w2", "qt.b2")}
+    logits = np.maximum(pooled @ w["qt.w1"] + w["qt.b1"], 0.0) @ w["qt.w2"] + w["qt.b2"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    want = -np.mean([logp[i, pe.qtype] for i, pe in enumerate(batch)])
+    assert abs(sel_l.item() - want) < 1e-12
+    assert total.item() == sel_l.item() * 0.3 + gen_l.item() * 0.7
+
+    ad.backward(sel_l)
+    analytic = params["qt.b2"].grad.copy()
+
+    def sel_value():
+        with ad.no_grad():
+            return T._batch_losses(batch, params, cfg, "aux_qtc", 0.3)[1].item()
+
+    fd = central_difference(sel_value, params["qt.b2"].data)
+    assert np.abs(analytic - fd).max() < 1e-8
 
 
 def test_lambda_zero_joint_matches_generation_only(stall_setup):
